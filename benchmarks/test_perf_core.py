@@ -27,6 +27,7 @@ CHECKSUM_FLOORS = {
     "channel.generate": 1_000,       # trace has real resolution
     "tracelink.replay": 1_000,       # replay delivered packets
     "sim.verus_direct": 1_000,       # the flow actually moved data
+    "verus.highrate": 1_000,         # the 100 Mbps leg moved data
     "sim.contention": 1_000,
     "sim.contention_telemetry": 1_000,
 }

@@ -340,6 +340,125 @@ def _cubic_no_decrease():
     return _patched(CubicSender, "ssthresh_on_loss", ssthresh_on_loss)
 
 
+def _frontier_drops_requeued_rtx():
+    """Perf defect: the unarmed frontier forgets requeued retransmissions.
+    ``_queue_retransmission`` disarms the sequence's reordering timer but
+    never records it as disarmed, so gap ACKs never re-arm it: a requeued
+    sequence below the cursor waits for its send slot with no timer."""
+    from ..core.sender import VerusSender
+
+    original = VerusSender._queue_retransmission
+
+    def _queue_retransmission(self, seq):
+        original(self, seq)
+        # Seeded defect: the disarmed sequence is dropped from the frontier.
+        self._disarmed.discard(seq)
+
+    return _patched(VerusSender, "_queue_retransmission",
+                    _queue_retransmission)
+
+
+def _probe_requeued_rtx(apply):
+    """Oracle: a scripted loss episode — a gap ACK arms reordering
+    timers, they expire and requeue their sequences, and a second gap ACK
+    arrives while the retransmissions still wait for a send slot, then
+    the re-armed timers expire.  Timer deadlines and loss counts must
+    match the clean implementation exactly."""
+    from ..core.sender import VerusSender
+    from ..netsim.engine import Simulator
+    from ..netsim.flow import SenderProtocol
+    from ..netsim.packet import Packet
+
+    def episode():
+        sim = Simulator()
+        sender = VerusSender(0)
+        sender.attach(sim, lambda packet: None)
+        # Base start only: the script drives the epoch work itself.
+        SenderProtocol.start(sender)
+        for _ in range(12):
+            sender._transmit_new()
+
+        def ack(seq):
+            sender.on_ack(Packet(flow_id=0, seq=seq, is_ack=True,
+                                 ack_seq=seq, sent_time=sim.now))
+
+        ack(4)
+        sim.run(until=1.0)
+        sender._check_missing()
+        ack(8)
+        deadlines = sorted((seq, record.miss_deadline)
+                           for seq, record in sender._inflight.items())
+        sim.run(until=10.0)
+        sender._check_missing()
+        return deadlines, sender.losses_detected
+
+    reference = episode()
+    with apply():
+        mutated = episode()
+    if mutated != reference:
+        return ["probe:requeued-rtx-timer-divergence"]
+    return []
+
+
+def _tcp_stale_scoreboard():
+    """Perf defect: the SACK scoreboard's lost-hole count is not adjusted
+    on a cumulative ACK.  Holes the ACK fills stay counted as lost, so the
+    pipe estimate sinks below the truth and recovery over-sends."""
+    from ..tcp.base import TcpSender
+
+    original = TcpSender._handle_new_ack
+
+    def _handle_new_ack(self, ack, packet):
+        lost = self._lost_holes
+        was_in_recovery = self._in_fast_recovery
+        original(self, ack, packet)
+        if not (was_in_recovery and not self._in_fast_recovery):
+            # Seeded defect: the ACK's hole adjustment is discarded (a
+            # recovery exit still resets the scoreboard).
+            self._lost_holes = lost
+
+    return _patched(TcpSender, "_handle_new_ack", _handle_new_ack)
+
+
+def _probe_reordered_sack_path(apply):
+    """Oracle: one Cubic flow through a lossy link that holds back every
+    4th packet past its successors, so cumulative ACKs keep filling holes
+    the SACK scoreboard has counted as lost.  Sender and receiver
+    counters must match the clean implementation exactly."""
+    import numpy as np
+
+    from ..netsim.engine import Simulator
+    from ..netsim.impairments import ReorderingLink
+    from ..netsim.link import DelayLine, Link
+    from ..netsim.queues import DropTailQueue
+    from ..tcp.base import TcpReceiver
+    from ..tcp.cubic import CubicSender
+
+    def counters():
+        sim = Simulator()
+        sender, receiver = CubicSender(0), TcpReceiver(0)
+        link = Link(sim, rate_bps=8e6,
+                    queue=DropTailQueue(capacity_bytes=120_000),
+                    loss_rate=0.005, rng=np.random.default_rng(3))
+        link.dst = ReorderingLink(sim, delay=0.0, every_n=4, hold_time=0.01,
+                                  dst=receiver.on_data).send
+        forward = DelayLine(sim, 0.02, dst=link.send)
+        reverse = DelayLine(sim, 0.02, dst=sender.on_ack)
+        sender.attach(sim, forward.send)
+        receiver.attach(sim, reverse.send)
+        sim.call_at(0.0, sender.start)
+        sim.run(until=3.0)
+        return (sender.packets_sent, sender.retransmissions,
+                sender.timeouts, receiver.packets_received)
+
+    reference = counters()
+    with apply():
+        mutated = counters()
+    if mutated != reference:
+        return ["probe:reordered-sack-divergence"]
+    return []
+
+
 MUTANTS: List[Mutant] = [
     Mutant(name="verus-no-loss-decrease", protocol="verus",
            description="eq. 6 disabled (loss keeps the window)",
@@ -373,6 +492,14 @@ MUTANTS: List[Mutant] = [
            description="trace memo ignores mid-sweep corpus mutation",
            apply=_stale_worker_trace_memo,
            probe=_probe_stale_trace_memo),
+    Mutant(name="verus-frontier-drops-requeued-rtx", protocol="verus",
+           description="requeued retransmission never re-armed",
+           apply=_frontier_drops_requeued_rtx,
+           probe=_probe_requeued_rtx),
+    Mutant(name="tcp-stale-scoreboard", protocol="cubic",
+           description="lost-hole count kept on cumulative ACK",
+           apply=_tcp_stale_scoreboard,
+           probe=_probe_reordered_sack_path),
 ]
 
 

@@ -107,6 +107,11 @@ class VerusSender(SenderProtocol):
         self._next_expected = 0
         self._inflight: Dict[int, SentRecord] = {}
         self._miss_heap: List[Tuple[float, int]] = []
+        # Unarmed frontier (§5.2 arm-once bookkeeping): every in-flight
+        # sequence below ``_arm_from`` has been given a reordering timer,
+        # except the requeued retransmissions held in ``_disarmed``.
+        self._arm_from = 0
+        self._disarmed: set = set()
         # Declared-lost sequences waiting for a retransmission slot.
         # Retransmissions consume the regular send budget (they occupy
         # window space, as in TCP) instead of being blasted out at once.
@@ -183,6 +188,7 @@ class VerusSender(SenderProtocol):
         record.window_at_send = self.window
         record.attempts += 1
         self.retransmissions += 1
+        self._disarmed.discard(seq)
         # Re-arm the reordering timer so a lost retransmission is detected
         # too; without this, twice-lost packets would linger in the
         # in-flight set forever and freeze eq. 5's W_i term.
@@ -241,6 +247,7 @@ class VerusSender(SenderProtocol):
         if record is None:
             return  # duplicate or stale acknowledgement
         self._pending_rtx.discard(seq)
+        self._disarmed.discard(seq)
         now = self.now
         self._last_progress = now
         self._rto_backoff = 1.0
@@ -281,17 +288,43 @@ class VerusSender(SenderProtocol):
             self._next_expected += 1
 
     def _arm_gap_timers(self, acked_seq: int) -> None:
-        """§5.2: every missing sequence gets a 3×delay reordering timer."""
-        if acked_seq <= self._next_expected:
+        """§5.2: every missing sequence gets a 3×delay reordering timer.
+
+        A gap ACK covers the missing sequences ``[next_expected, upper)``
+        with ``upper = min(acked_seq, next_expected + 4096)``.  Each
+        sequence is armed once: only the part of that range at or above
+        the ``_arm_from`` cursor is new, and below it the only unarmed
+        sequences are the requeued retransmissions in ``_disarmed``.  A
+        requeued sequence still waiting for a send slot is therefore
+        re-armed by the next gap ACK that covers it; if that timer
+        expires before the retransmission goes out, it fires and counts
+        in ``losses_detected`` again.  That double count is pinned by a
+        test: removing it would change results.
+        """
+        start = self._next_expected
+        if acked_seq <= start:
             return
         timeout = self.config.loss_timeout_factor * self.delay_estimator.rtt()
         deadline = self.now + timeout
-        upper = min(acked_seq, self._next_expected + 4096)
-        for seq in range(self._next_expected, upper):
-            record = self._inflight.get(seq)
+        upper = min(acked_seq, start + 4096)
+        inflight = self._inflight
+        heap = self._miss_heap
+        disarmed = self._disarmed
+        if disarmed:
+            rearm = [seq for seq in disarmed if seq < upper]
+            for seq in rearm:
+                inflight[seq].miss_deadline = deadline
+                heapq.heappush(heap, (deadline, seq))
+            disarmed.difference_update(rearm)
+        if self._arm_from > start:
+            start = self._arm_from
+        for seq in range(start, upper):
+            record = inflight.get(seq)
             if record is not None and record.miss_deadline is None:
                 record.miss_deadline = deadline
-                heapq.heappush(self._miss_heap, (deadline, seq))
+                heapq.heappush(heap, (deadline, seq))
+        if upper > self._arm_from:
+            self._arm_from = upper
 
     def _compact_miss_heap(self) -> None:
         """Drop stale miss-heap entries (acknowledged or re-armed seqs).
@@ -325,6 +358,7 @@ class VerusSender(SenderProtocol):
                 # episode already collapsed the window when first detected.
                 del self._inflight[seq]
                 self._pending_rtx.discard(seq)
+                self._disarmed.discard(seq)
                 self.abandoned += 1
                 self._advance_expected()
                 self._check_transfer_complete()
@@ -332,10 +366,18 @@ class VerusSender(SenderProtocol):
             self._declare_loss(record)
 
     def _queue_retransmission(self, seq: int) -> None:
+        """Queue ``seq`` for a send slot and disarm its reordering timer.
+
+        The disarmed sequence joins ``_disarmed``, so the next gap ACK
+        covering it re-arms it while it waits (see
+        :meth:`_arm_gap_timers`); the retransmission itself arms a fresh
+        timer.
+        """
         if seq not in self._pending_rtx and seq in self._inflight:
             self._pending_rtx.add(seq)
             self._rtx_queue.append(seq)
             self._inflight[seq].miss_deadline = None
+            self._disarmed.add(seq)
 
     def _declare_loss(self, record: SentRecord) -> None:
         self.losses_detected += 1
@@ -543,8 +585,10 @@ class VerusSender(SenderProtocol):
         self.timeouts += 1
         self._rto_backoff = min(self._rto_backoff * 2.0, 64.0)
         self._last_progress = self.now
-        # Collapse and probe, TCP-style.
-        oldest = min(self._inflight)
+        # Collapse and probe, TCP-style.  The oldest outstanding
+        # sequence is ``_next_expected``: it only ever advances past
+        # sequences that have left the in-flight set.
+        oldest = self._next_expected
         w_loss = self.window
         if not self.loss_handler.in_recovery:
             self.window = self.loss_handler.on_loss(w_loss)

@@ -92,6 +92,14 @@ class BenchmarkDef:
     #: of per-pair ratios, which cancels the machine drift that makes a
     #: ratio of two *separately timed* benchmarks unreliable.
     baseline_run: Optional[Callable[[Any], Any]] = None
+    #: How ``baseline_run`` relates to ``run``.  ``"overhead"``: the
+    #: same workload uninstrumented; the checksums must agree and the
+    #: row carries ``overhead_ratio``.  ``"per_packet"``: a control
+    #: workload (the same flow at a lower rate); each leg returns its
+    #: delivered-packet count, the checksum is the pair, and the row
+    #: carries ``per_packet_ratio`` — the median per-pair ratio of CPU
+    #: per packet, measured over control.
+    pairing: str = "overhead"
 
     def band(self) -> float:
         if self.tolerance is not None:
@@ -275,6 +283,39 @@ def _run_verus_direct(workload: dict) -> int:
     DirectPath(sim, link, sender, receiver,
                rtt=workload["rtt"], ack_pool=True).run(workload["duration"])
     return receiver.packets_received
+
+
+def _setup_verus_highrate(params: dict) -> Tuple[Any, str]:
+    return params, hash_parts("verus.highrate", params)
+
+
+def _verus_lossy_flow(workload: dict, rate_bps: float,
+                      duration: float) -> int:
+    """One Verus flow over a randomly lossy fixed-rate path; returns the
+    delivered-packet count.  Losses keep the §5.2 gap-timer path busy."""
+    import numpy as np
+
+    from ..core import VerusConfig, VerusReceiver, VerusSender
+    from ..netsim import DirectPath, DropTailQueue, Link, Simulator
+    sim = Simulator()
+    link = Link(sim, rate_bps=rate_bps, queue=DropTailQueue(),
+                loss_rate=workload["loss_rate"],
+                rng=np.random.default_rng(workload["seed"]))
+    sender = VerusSender(0, VerusConfig(r=workload["r"]))
+    receiver = VerusReceiver(0)
+    DirectPath(sim, link, sender, receiver,
+               rtt=workload["rtt"]).run(duration)
+    return receiver.packets_received
+
+
+def _run_verus_highrate(workload: dict) -> int:
+    return _verus_lossy_flow(workload, workload["hi_rate_bps"],
+                             workload["hi_duration"])
+
+
+def _run_verus_lowrate(workload: dict) -> int:
+    return _verus_lossy_flow(workload, workload["lo_rate_bps"],
+                             workload["lo_duration"])
 
 
 def _setup_sprout_forecast(params: dict) -> Tuple[Any, str]:
@@ -535,6 +576,23 @@ _register(BenchmarkDef(
     repeats={"quick": 2, "full": 3}))
 
 _register(BenchmarkDef(
+    name="verus.highrate", kind="macro",
+    summary="lossy Verus flow at 100 Mbps, paired with a 10 Mbps control",
+    setup=_setup_verus_highrate, run=_run_verus_highrate,
+    # The Fig 11a regime: per-packet cost should stay flat as the rate
+    # grows, so the row reports the 100/10 Mbps per-packet CPU ratio.
+    baseline_run=_run_verus_lowrate, pairing="per_packet",
+    params={"quick": {"hi_rate_bps": 100e6, "hi_duration": 2.0,
+                      "lo_rate_bps": 10e6, "lo_duration": 4.0,
+                      "rtt": 0.05, "loss_rate": 0.005, "r": 2.0,
+                      "seed": 1},
+            "full": {"hi_rate_bps": 100e6, "hi_duration": 3.0,
+                     "lo_rate_bps": 10e6, "lo_duration": 6.0,
+                     "rtt": 0.05, "loss_rate": 0.005, "r": 2.0,
+                     "seed": 1}},
+    repeats={"quick": 3, "full": 3}))
+
+_register(BenchmarkDef(
     name="sim.contention", kind="macro",
     summary="end-to-end multi-flow contention on a pinned scenario trace",
     setup=_setup_contention, run=_run_contention,
@@ -600,6 +658,8 @@ def _bench_task(payload: dict) -> dict:
                 cpu_sink.append(time.process_time() - cpu)
                 wall_sink.append(time.perf_counter() - wall)
             baseline_result, result = results["baseline"], results["measured"]
+            if bench.pairing == "per_packet":
+                result = [baseline_result, result]
         else:
             start = time.perf_counter()
             result = bench.run(workload)
@@ -610,7 +670,8 @@ def _bench_task(payload: dict) -> dict:
             raise RuntimeError(
                 f"benchmark {bench.name!r} is nondeterministic: repeat "
                 f"{attempt} returned {result!r}, first run {checksum!r}")
-        if bench.baseline_run is not None and baseline_result != result:
+        if (bench.baseline_run is not None and bench.pairing == "overhead"
+                and baseline_result != result):
             raise RuntimeError(
                 f"benchmark {bench.name!r}: measured run returned "
                 f"{result!r} but its interleaved baseline returned "
@@ -651,7 +712,14 @@ def _bench_task(payload: dict) -> dict:
         row["baseline_seconds"] = best_baseline
         row["baseline_samples"] = [round(s, 6) for s in baseline_samples]
         best_cpu = min(cpu_baseline)
-        if best_cpu > 0:
+        if bench.pairing == "per_packet":
+            control_packets, packets = checksum
+            ratios = sorted((m / packets) / (b / control_packets)
+                            for m, b in zip(cpu_samples, cpu_baseline)
+                            if b > 0)
+            if ratios:
+                row["per_packet_ratio"] = round(ratios[len(ratios) // 2], 4)
+        elif best_cpu > 0:
             deltas = sorted(m - b for m, b in zip(cpu_samples, cpu_baseline))
             median_est = 1.0 + deltas[len(deltas) // 2] / best_cpu
             floor_est = min(cpu_samples) / best_cpu
@@ -708,12 +776,17 @@ def run_bench(names: Optional[Sequence[str]] = None, mode: str = "quick",
 
 
 def _derived(benchmarks: Dict[str, dict]) -> dict:
-    """Cross-benchmark numbers: rates and the telemetry overhead ratio."""
+    """Cross-benchmark numbers: rates, the Verus high-rate per-packet
+    ratio and the telemetry overhead ratio."""
     derived: dict = {}
     engine = benchmarks.get("engine.events")
     if engine and engine["seconds"] > 0:
         derived["engine_events_per_sec"] = round(
             engine["params"]["events"] / engine["seconds"], 1)
+    highrate = benchmarks.get("verus.highrate")
+    if highrate and "per_packet_ratio" in highrate:
+        derived["verus_highrate_per_packet_ratio"] = \
+            highrate["per_packet_ratio"]
     telem = benchmarks.get("sim.contention_telemetry")
     if telem and "overhead_ratio" in telem:
         # Paired measurement (interleaved baseline/telemetry repeats)

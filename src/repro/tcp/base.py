@@ -92,6 +92,14 @@ class TcpSender(SenderProtocol):
         self._recover = 0         # highest seq sent when the loss hit
         self._sacked: Set[int] = set()
         self._rexmit_done: Set[int] = set()
+        # Incremental RFC 6675 scoreboard (see _pipe): the highest SACKed
+        # sequence (exact whenever max(_sacked) >= snd_una; otherwise
+        # some value below snd_una, which bounds the lost-hole range
+        # just the same), the count of lost holes, and the next-hole
+        # cursor of _sack_retransmit.
+        self._sack_hi = -1
+        self._lost_holes = 0
+        self._hole_cursor = 0
         self._sent_times: Dict[int, float] = {}
         self._retransmitted: Set[int] = set()
         # RFC 6298 state
@@ -184,10 +192,10 @@ class TcpSender(SenderProtocol):
         if not packet.is_ack or not self.running:
             return
         ack = packet.ack_seq
-        if self.sack and packet.seq >= ack:
+        if self.sack and packet.seq >= ack and packet.seq not in self._sacked:
             # The echoed trigger sequence above the cumulative point is the
             # packet-granularity equivalent of a SACK block.
-            self._sacked.add(packet.seq)
+            self._on_sack(packet.seq)
         if ack > self.snd_una:
             self._handle_new_ack(ack, packet)
         elif ack == self.snd_una and self.flight() > 0:
@@ -214,11 +222,21 @@ class TcpSender(SenderProtocol):
         sent = self._sent_times.get(trigger)
         if sent is not None and trigger not in self._retransmitted:
             self._rtt_sample(self.now - sent)
+        # Every acknowledged sequence is >= snd_una, so it lies in the
+        # lost-hole range exactly when it is below hi - threshold + 1.
+        lost_below = self._sack_hi - DUPACK_THRESHOLD + 1
+        sacked = self._sacked
+        rexmit_done = self._rexmit_done
         for seq in range(self.snd_una, ack):
             self._sent_times.pop(seq, None)
             self._retransmitted.discard(seq)
-            self._sacked.discard(seq)
-            self._rexmit_done.discard(seq)
+            if seq in sacked:
+                sacked.discard(seq)
+                rexmit_done.discard(seq)
+            elif seq in rexmit_done:
+                rexmit_done.discard(seq)
+            elif seq < lost_below:
+                self._lost_holes -= 1
         self.snd_una = ack
         self._backoff = 1.0
         self._arm_rto()
@@ -235,8 +253,7 @@ class TcpSender(SenderProtocol):
                 self._in_fast_recovery = False
                 self._dupacks = 0
                 self.cwnd = self.ssthresh
-                self._sacked.clear()
-                self._rexmit_done.clear()
+                self._clear_scoreboard()
             elif not self.sack:
                 # Partial acknowledgement (RFC 6582): retransmit next hole,
                 # deflate by the amount acknowledged.
@@ -270,6 +287,7 @@ class TcpSender(SenderProtocol):
         self._recover = self.snd_nxt - 1
         self._in_fast_recovery = True
         self._rexmit_done.clear()
+        self._hole_cursor = self.snd_una
         if self.sack:
             self.cwnd = self.ssthresh
             self._sack_retransmit()
@@ -281,32 +299,68 @@ class TcpSender(SenderProtocol):
     # ------------------------------------------------------------------
     # SACK-emulated recovery (pipe control)
     # ------------------------------------------------------------------
+    def _on_sack(self, seq: int) -> None:
+        """Scoreboard update for a newly SACKed sequence."""
+        una = self.snd_una
+        if seq > self._sack_hi:
+            # The lost-hole range grows to the new highest SACK: count
+            # the sequences it newly covers.
+            sacked = self._sacked
+            rexmit_done = self._rexmit_done
+            start = max(una, self._sack_hi - DUPACK_THRESHOLD + 1)
+            self._sack_hi = seq
+            for hole in range(start, max(una, seq - DUPACK_THRESHOLD + 1)):
+                if hole not in sacked and hole not in rexmit_done:
+                    self._lost_holes += 1
+        elif (una <= seq < self._sack_hi - DUPACK_THRESHOLD + 1
+              and seq not in self._rexmit_done):
+            self._lost_holes -= 1
+        self._sacked.add(seq)
+
+    def _clear_scoreboard(self) -> None:
+        self._sacked.clear()
+        self._rexmit_done.clear()
+        self._sack_hi = -1
+        self._lost_holes = 0
+
     def _pipe(self) -> int:
         """Packets still in the network during recovery (RFC 6675 style).
 
         A hole with roughly a dupack-threshold's worth of SACKed packets
         above it is deemed lost and leaves the pipe; holes we have already
-        retransmitted are back in the pipe until (S)ACKed.
+        retransmitted are back in the pipe until (S)ACKed.  The lost holes
+        are the sequences in ``[snd_una, hi - DUPACK_THRESHOLD + 1)``,
+        ``hi`` the highest SACK, that are neither SACKed nor
+        retransmitted; ``_lost_holes`` counts them incrementally (on
+        SACK, cumulative ACK and retransmission; reset on recovery exit
+        and RTO), so each sequence enters and leaves the count O(1)
+        times instead of being rescanned on every call.
         """
         if not self._sacked:
             return self.flight()
-        hi = max(self._sacked)
-        lost = 0
-        for seq in range(self.snd_una, max(self.snd_una, hi - DUPACK_THRESHOLD + 1)):
-            if seq not in self._sacked and seq not in self._rexmit_done:
-                lost += 1
-        return max(0, self.flight() - len(self._sacked) - lost)
+        return max(0, self.flight() - len(self._sacked) - self._lost_holes)
 
     def _sack_retransmit(self) -> None:
-        """Retransmit known holes up to the congestion window."""
+        """Retransmit known holes up to the congestion window.
+
+        Every sequence in ``[snd_una, _hole_cursor)`` is SACKed or
+        already retransmitted in this recovery, so the hole search
+        resumes at the cursor instead of at ``snd_una``.
+        """
         budget = int(self.cwnd) - self._pipe()
-        seq = self.snd_una
+        seq = max(self.snd_una, self._hole_cursor)
+        sacked = self._sacked
+        rexmit_done = self._rexmit_done
+        lost_below = self._sack_hi - DUPACK_THRESHOLD + 1
         while budget > 0 and seq <= self._recover:
-            if seq not in self._sacked and seq not in self._rexmit_done:
+            if seq not in sacked and seq not in rexmit_done:
                 self._transmit(seq, retransmission=True)
-                self._rexmit_done.add(seq)
+                rexmit_done.add(seq)
+                if seq < lost_below:
+                    self._lost_holes -= 1
                 budget -= 1
             seq += 1
+        self._hole_cursor = seq
 
     def _fill_window_recovery_aware(self) -> None:
         if not self._in_fast_recovery:
@@ -355,8 +409,7 @@ class TcpSender(SenderProtocol):
                         w_after=self.cwnd, kind="rto")
         self._dupacks = 0
         self._in_fast_recovery = False
-        self._sacked.clear()
-        self._rexmit_done.clear()
+        self._clear_scoreboard()
         self._backoff = min(self._backoff * 2.0, 64.0)
         self._transmit(self.snd_una, retransmission=True)
         # Go-back-N: everything past the retransmitted segment is treated

@@ -304,6 +304,27 @@ class TestBench:
         _, full = bench.setup(bench.params["full"])
         assert full != first          # different params, different workload
 
+    def test_per_packet_pairing_reports_ratio(self, monkeypatch):
+        """A per-packet pair runs two different workloads: the checksum
+        is the pair of packet counts and the row carries the CPU-per-
+        packet ratio instead of an overhead ratio."""
+        from repro.obs import bench as bench_mod
+
+        def work(packets):
+            return lambda workload: sum(range(200_000)) and packets
+
+        pair = bench_mod.BenchmarkDef(
+            name="test.pair", kind="micro", summary="per-packet pair",
+            setup=lambda params: (params, "0" * 64), run=work(200),
+            baseline_run=work(100), pairing="per_packet",
+            params={"quick": {}}, repeats={"quick": 3})
+        monkeypatch.setitem(bench_mod.BENCHMARKS, "test.pair", pair)
+        row = bench_mod._bench_task({"name": "test.pair", "mode": "quick"})
+        assert row["checksum"] == [100, 200]
+        assert "overhead_ratio" not in row
+        # Same CPU per run, twice the packets: about half the cost each.
+        assert 0.2 < row["per_packet_ratio"] < 1.0
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError, match="unknown benchmark"):
             run_bench(["nope"], mode="quick")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import NORMAL, RECOVERY, SLOW_START, VerusConfig, VerusReceiver, VerusSender
 from repro.netsim import DelayLine, DropTailQueue, Link, Packet, Simulator
+from repro.netsim.flow import SenderProtocol
 
 
 def wire(sender, receiver, rate_bps=10e6, rtt=0.05, queue_bytes=None,
@@ -70,6 +71,43 @@ class TestGapTimers:
         sender.on_ack(Packet(flow_id=0, seq=base, is_ack=True, ack_seq=base,
                              sent_time=sim.now))
         assert base not in sender._pending_rtx
+
+
+    def test_requeued_sequence_rearmed_by_next_gap_ack(self):
+        """Pinned behaviour: a sequence requeued for retransmission and
+        still waiting for a send slot is re-armed by the next gap ACK
+        that covers it.  If that timer expires before the retransmission
+        goes out, it fires and counts in ``losses_detected`` again."""
+        sim = Simulator()
+        sender = VerusSender(0)
+        sent = []
+        sender.attach(sim, lambda packet: sent.append(packet.retransmission))
+        SenderProtocol.start(sender)   # no epoch timer: the test drives it
+        for _ in range(12):
+            sender._transmit_new()
+
+        def ack(seq):
+            sender.on_ack(Packet(flow_id=0, seq=seq, is_ack=True,
+                                 ack_seq=seq, sent_time=sim.now))
+
+        ack(4)                                  # gap: arms 0..3
+        sim.run(until=1.0)
+        sender._check_missing()                 # 0..3 lost and requeued
+        assert sender.losses_detected == 4
+        assert sender._pending_rtx == {0, 1, 2, 3}
+        assert all(sender._inflight[seq].miss_deadline is None
+                   for seq in range(4))
+        ack(8)                                  # gap: arms 5..7, re-arms 0..3
+        assert sender._pending_rtx == {0, 1, 2, 3}
+        assert not any(sent)                    # still waiting for a slot
+        deadline = sender._inflight[5].miss_deadline
+        assert deadline is not None
+        assert all(sender._inflight[seq].miss_deadline == deadline
+                   for seq in range(4))
+        sim.run(until=deadline)
+        sender._check_missing()
+        # 5..7 are new losses; 0..3 are counted a second time.
+        assert sender.losses_detected == 4 + 3 + 4
 
 
 class TestEffectiveInflight:
