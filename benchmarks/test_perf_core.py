@@ -29,6 +29,7 @@ CHECKSUM_FLOORS = {
     "sim.verus_direct": 1_000,       # the flow actually moved data
     "verus.highrate": 1_000,         # the 100 Mbps leg moved data
     "sim.contention": 1_000,
+    "tcp.faulted": 1_000,            # recovery kept the flows moving
     "sim.contention_telemetry": 1_000,
 }
 

@@ -459,6 +459,61 @@ def _probe_reordered_sack_path(apply):
     return []
 
 
+def _tcp_lazy_rto_stale():
+    """Perf defect: the lazy retransmission timer's callback leaves the
+    fired timer recorded as pending.  Re-arming after a timeout then sees
+    a timer due no later than the new deadline and schedules none, so
+    the first RTO is also the last: a retransmission lost after it is
+    never timed out."""
+    from ..tcp.base import TcpSender
+
+    def _rto_timer_fired(self):
+        deadline = self._rto_deadline
+        if self.sim.now < deadline:
+            self._rto_timer = self.sim.schedule_at(deadline,
+                                                   self._rto_timer_fired)
+            self._rto_timer_at = deadline
+            return
+        # Seeded defect: self._rto_timer still names the fired timer.
+        self._on_rto()
+
+    return _patched(TcpSender, "_rto_timer_fired", _rto_timer_fired)
+
+
+def _probe_blackout_rto_path(apply):
+    """Oracle: one Cubic flow whose link is dark for 3 s, long enough
+    for a run of backed-off timeouts, then heals.  Sender and receiver
+    counters must match the clean implementation exactly."""
+    from ..netsim.engine import Simulator
+    from ..netsim.link import DelayLine, Link
+    from ..netsim.queues import DropTailQueue
+    from ..tcp.base import TcpReceiver
+    from ..tcp.cubic import CubicSender
+
+    def counters():
+        sim = Simulator()
+        sender, receiver = CubicSender(0), TcpReceiver(0)
+        link = Link(sim, rate_bps=8e6, queue=DropTailQueue(),
+                    dst=receiver.on_data)
+        forward = DelayLine(sim, 0.02, dst=link.send)
+        reverse = DelayLine(sim, 0.02, dst=sender.on_ack)
+        sender.attach(sim, forward.send)
+        receiver.attach(sim, reverse.send)
+        sim.call_at(0.0, sender.start)
+        sim.call_at(1.0, setattr, link, "dst", lambda packet: None)
+        sim.call_at(4.0, setattr, link, "dst", receiver.on_data)
+        sim.run(until=8.0)
+        return (sender.packets_sent, sender.retransmissions,
+                sender.timeouts, receiver.packets_received)
+
+    reference = counters()
+    with apply():
+        mutated = counters()
+    if mutated != reference:
+        return ["probe:blackout-rto-divergence"]
+    return []
+
+
 MUTANTS: List[Mutant] = [
     Mutant(name="verus-no-loss-decrease", protocol="verus",
            description="eq. 6 disabled (loss keeps the window)",
@@ -500,6 +555,10 @@ MUTANTS: List[Mutant] = [
            description="lost-hole count kept on cumulative ACK",
            apply=_tcp_stale_scoreboard,
            probe=_probe_reordered_sack_path),
+    Mutant(name="tcp-lazy-rto-stale", protocol="cubic",
+           description="fired RTO timer still taken as pending",
+           apply=_tcp_lazy_rto_stale,
+           probe=_probe_blackout_rto_path),
 ]
 
 

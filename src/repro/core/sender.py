@@ -156,6 +156,11 @@ class VerusSender(SenderProtocol):
         if self._profile_timer is not None:
             self._profile_timer.stop()
 
+    def detach(self) -> None:
+        # A timer holds its callback, a method of this sender.
+        super().detach()
+        self._epoch_timer = self._profile_timer = None
+
     # ------------------------------------------------------------------
     # Transmission helpers
     # ------------------------------------------------------------------

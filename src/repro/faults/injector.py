@@ -22,10 +22,20 @@ Two extra hooks exist only for the live backend, where faults can act on
 In the simulator, corruption compiles to a counted drop: a corrupted
 frame would fail its checksum at the receiver's NIC and never reach the
 protocol, which is exactly what discarding it models.
+
+Per-packet cost is constant.  The edges of every window and every clock
+jump are sorted once, at construction; between two adjacent edges the
+set of active windows and the delay cannot change, so :meth:`send`
+caches the segment the clock is in (:meth:`_seek`) and, in a calm
+segment (no window active), costs one comparison.  The window scans
+(:func:`_in_windows`, :meth:`_active_rate`) remain the definition: the
+segment state is computed by them, and :meth:`blocked`/:meth:`mangle`
+still use them directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -121,6 +131,14 @@ class FaultInjector:
             self._burst = self._corrupt = self._duplicate = []
             self._reorder = []
             self._jumps = []
+        edges = {at for at, _ in self._jumps}
+        for start, end in (self._outages + self._burst + self._corrupt
+                           + self._duplicate):
+            edges.update((start, end))
+        for start, end, _ in self._reorder:
+            edges.update((start, end))
+        self._edges = sorted(edges)
+        self._seek(0.0)
 
     # ------------------------------------------------------------------
     # Shared window queries
@@ -140,6 +158,28 @@ class FaultInjector:
                 return event.rate
         return 0.0
 
+    def _seek(self, t: float) -> None:
+        """Cache the segment between the two edges around ``t`` and the
+        fault state that holds throughout it, computed by the scans."""
+        edges = self._edges
+        i = bisect_right(edges, t)
+        self._lo = edges[i - 1] if i else float("-inf")
+        self._hi = edges[i] if i < len(edges) else float("inf")
+        self._blackout = _in_windows(t, self._outages)
+        self._burst_rate = (self._active_rate(t, "burst_loss")
+                            if self._burst else 0.0)
+        self._corrupt_rate = (self._active_rate(t, "corruption")
+                              if self._corrupt and not self.byte_corruption
+                              else 0.0)
+        self._jitter = next((jitter for start, end, jitter in self._reorder
+                             if start <= t < end), 0.0)
+        self._dup_rate = (self._active_rate(t, "duplication")
+                          if self._duplicate else 0.0)
+        self._delay = self.base_delay + self._clock_extra(t)
+        self._calm = not (self._blackout or self._burst_rate
+                          or self._corrupt_rate or self._jitter
+                          or self._dup_rate)
+
     # ------------------------------------------------------------------
     # Packet-level path (both backends)
     # ------------------------------------------------------------------
@@ -147,32 +187,40 @@ class FaultInjector:
         if self.dst is None:
             raise RuntimeError("FaultInjector has no destination attached")
         now = self.clock.now
-        if _in_windows(now, self._outages):
-            self.stats.blackout_drops += 1
+        if not self._lo <= now < self._hi:
+            self._seek(now)
+        stats = self.stats
+        if self._calm:
+            stats.forwarded += 1
+            self._forward(packet, self._delay)
             return
-        if self._burst and _in_windows(now, self._burst):
-            if self.rng.random() < self._active_rate(now, "burst_loss"):
-                self.stats.burst_losses += 1
-                return
-        if (not self.byte_corruption and self._corrupt
-                and _in_windows(now, self._corrupt)):
-            if self.rng.random() < self._active_rate(now, "corruption"):
-                # Simulator compile target: the corrupted frame dies at
-                # the receiver's checksum, i.e. a counted drop.
-                self.stats.corrupted += 1
-                return
-        delay = self.base_delay + self._clock_extra(now)
-        for start, end, jitter in self._reorder:
-            if start <= now < end:
-                delay += float(self.rng.uniform(0.0, jitter))
-                self.stats.reorder_delays += 1
-                break
-        self.stats.forwarded += 1
+        if self._blackout:
+            stats.blackout_drops += 1
+            return
+        rate = self._burst_rate
+        if rate and self.rng.random() < rate:
+            stats.burst_losses += 1
+            return
+        rate = self._corrupt_rate
+        if rate and self.rng.random() < rate:
+            # Simulator compile target: the corrupted frame dies at the
+            # receiver's checksum, i.e. a counted drop.
+            stats.corrupted += 1
+            return
+        delay = self._delay
+        jitter = self._jitter
+        if jitter:
+            delay += float(self.rng.uniform(0.0, jitter))
+            stats.reorder_delays += 1
+        # Read before forwarding: a zero-delay destination may send
+        # through this injector again, and on a wall clock that nested
+        # send can seek to a later segment.
+        rate = self._dup_rate
+        stats.forwarded += 1
         self._forward(packet, delay)
-        if self._duplicate and _in_windows(now, self._duplicate):
-            if self.rng.random() < self._active_rate(now, "duplication"):
-                self.stats.duplicated += 1
-                self._forward(packet, delay + _DUPLICATE_LAG)
+        if rate and self.rng.random() < rate:
+            stats.duplicated += 1
+            self._forward(packet, delay + _DUPLICATE_LAG)
 
     #: Links hand packets to ``dst(packet)``; behave like one.
     def __call__(self, packet: Packet) -> None:

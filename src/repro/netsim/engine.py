@@ -22,13 +22,21 @@ FIFO tie-break exactly.  Cancelled events stay in the heap as corpses
 but are counted (``_corpses``), which makes :meth:`Simulator.pending`
 O(1) and lets the heap be compacted in place once corpses outnumber
 live entries.
+
+Teardown: the heap is the hub of a finished run's reference cycles
+(heap → callback → endpoint → link → engine), so
+:meth:`Simulator.close` drops it once the last ``run`` has returned,
+and the run is then freed by reference counting rather than by the
+next full garbage-collection pass.  An :class:`Event` holds no callback
+of its own (the heap tuple carries it), so a handle an endpoint keeps
+after its event fired or was dropped closes no cycle either.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -46,13 +54,10 @@ class Event:
     double-counts.
     """
 
-    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "cancelled", "_sim")
 
-    def __init__(self, time: float, callback: Callable[..., Any],
-                 args: Tuple[Any, ...], sim: "Optional[Simulator]" = None):
+    def __init__(self, time: float, sim: "Optional[Simulator]" = None):
         self.time = time
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         self._sim = sim
 
@@ -72,8 +77,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<Event t={self.time:.6f} {name} [{state}]>"
+        return f"<Event t={self.time:.6f} [{state}]>"
 
 
 # Compaction threshold: sweep the heap in place once cancelled corpses
@@ -131,7 +135,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self.now + delay
-        event = Event(time, callback, args, self)
+        event = Event(time, self)
         heapq.heappush(self._heap,
                        (time, next(self._counter), event, callback, args))
         return event
@@ -142,7 +146,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
-        event = Event(time, callback, args, self)
+        event = Event(time, self)
         heapq.heappush(self._heap,
                        (time, next(self._counter), event, callback, args))
         return event
@@ -244,6 +248,22 @@ class Simulator:
     def stop(self) -> None:
         """Stop the current ``run`` after the in-flight callback returns."""
         self._stopped = True
+
+    def close(self) -> None:
+        """Drop every pending event: the end of a run.
+
+        The callbacks and packets the heap holds are released, and each
+        pending handle reads as cancelled.  ``now``,
+        ``events_processed`` and ``pending()`` (now 0) stay readable, and
+        the simulator may still be scheduled and run again.
+        """
+        for entry in self._heap:
+            event = entry[2]
+            if event is not None:
+                event.cancelled = True
+                event._sim = None
+        self._heap.clear()
+        self._corpses = 0
 
     # ------------------------------------------------------------------
     # Corpse accounting

@@ -43,9 +43,10 @@ class Clock(Protocol):
     :class:`~repro.netsim.engine.Simulator` implements it with simulated
     time; :class:`repro.live.clock.WallClock` implements it with asyncio
     wall-clock timers.  Protocol code must only ever touch ``now``,
-    ``schedule`` and the fire-and-forget ``call_later`` fast path (plus
+    ``schedule``, its absolute-time form ``schedule_at`` and the
+    fire-and-forget ``call_later`` fast path (plus
     :class:`~repro.netsim.engine.PeriodicTimer`, which itself only uses
-    the first two), never simulator-only APIs such as
+    ``now`` and ``schedule``), never simulator-only APIs such as
     ``run``/``step`` — that is what keeps one protocol implementation
     valid on both substrates.
     """
@@ -55,6 +56,9 @@ class Clock(Protocol):
 
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> EventHandle: ...
+
+    def schedule_at(self, time: float, callback: Callable[..., Any],
+                    *args: Any) -> EventHandle: ...
 
     def call_later(self, delay: float, callback: Callable[..., Any],
                    *args: Any) -> None: ...
@@ -88,6 +92,13 @@ class SenderProtocol:
     def attach(self, sim: Clock, tx: Transmit) -> None:
         self.sim = sim
         self._tx = tx
+
+    def detach(self) -> None:
+        """Drop the transmit callable once the run is over.  The path it
+        leads into reaches back to this endpoint, so keeping it would
+        make the finished run a reference cycle.  ``sim`` is kept: its
+        counters stay readable."""
+        self._tx = None
 
     def send(self, packet: Packet) -> None:
         if self._tx is None or self.sim is None:
@@ -169,6 +180,10 @@ class ReceiverProtocol:
     def attach(self, sim: Clock, tx: Transmit) -> None:
         self.sim = sim
         self._tx = tx
+
+    def detach(self) -> None:
+        """Drop the transmit callable (see :meth:`SenderProtocol.detach`)."""
+        self._tx = None
 
     @property
     def now(self) -> float:

@@ -419,6 +419,21 @@ def _run_contention(workload: dict) -> int:
     return sum(r.packets_received for r in result.receivers)
 
 
+def _setup_tcp_faulted(params: dict) -> Tuple[Any, str]:
+    return _contention_setup("tcp.faulted", params)
+
+
+def _run_tcp_faulted(workload: dict) -> int:
+    from ..experiments.runner import repeat_flows
+    from ..faults import make_schedule, run_faulted_contention
+    duration = workload["duration"]
+    result = run_faulted_contention(
+        workload["trace"], repeat_flows("cubic", workload["flows"]),
+        make_schedule(workload["schedule"], duration), duration=duration,
+        warmup=workload["warmup"], seed=workload["seed"])
+    return sum(r.packets_received for r in result.receivers)
+
+
 def _setup_contention_telemetry(params: dict) -> Tuple[Any, str]:
     import numpy as np
 
@@ -597,6 +612,21 @@ _register(BenchmarkDef(
     summary="end-to-end multi-flow contention on a pinned scenario trace",
     setup=_setup_contention, run=_run_contention,
     params=_CONTENTION_PARAMS,
+    repeats={"quick": 3, "full": 3}))
+
+_register(BenchmarkDef(
+    name="tcp.faulted", kind="macro",
+    summary="Cubic flows on an LTE trace behind RED under burst loss",
+    setup=_setup_tcp_faulted, run=_run_tcp_faulted,
+    # The paper's main baseline on its §6.2 path, through the fault
+    # injectors: TCP SACK recovery, the retransmission timer and the
+    # injector's per-packet path.
+    params={"quick": {"scenario": "campus_pedestrian", "technology": "lte",
+                      "duration": 10.0, "warmup": 2.0, "flows": 3,
+                      "schedule": "burst_loss", "seed": 5},
+            "full": {"scenario": "campus_pedestrian", "technology": "lte",
+                     "duration": 20.0, "warmup": 2.0, "flows": 3,
+                     "schedule": "burst_loss", "seed": 5}},
     repeats={"quick": 3, "full": 3}))
 
 _register(BenchmarkDef(

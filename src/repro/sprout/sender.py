@@ -39,6 +39,11 @@ class SproutReceiver(ReceiverProtocol):
         self._timer = PeriodicTimer(sim, self.forecaster.tick, self._on_tick)
         self._timer.start()
 
+    def detach(self) -> None:
+        # The timer holds its callback, a method of this receiver.
+        super().detach()
+        self._timer = None
+
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
         self._tick_arrivals += 1
@@ -123,6 +128,11 @@ class SproutSender(SenderProtocol):
         super().stop()
         if self._timer is not None:
             self._timer.stop()
+
+    def detach(self) -> None:
+        # The timer holds its callback, a method of this sender.
+        super().detach()
+        self._timer = None
 
     # ------------------------------------------------------------------
     def on_ack(self, packet: Packet) -> None:

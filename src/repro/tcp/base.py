@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from ..netsim.engine import Event
-from ..netsim.flow import ReceiverProtocol, SenderProtocol
+from ..netsim.flow import EventHandle, ReceiverProtocol, SenderProtocol
 from ..netsim.packet import MTU_BYTES, Packet
 
 INITIAL_WINDOW = 2.0
@@ -107,8 +106,12 @@ class TcpSender(SenderProtocol):
         self.rttvar: Optional[float] = None
         self.rto = 1.0
         self.min_rto = 0.2
-        self._rto_event: Optional[Event] = None
         self._backoff = 1.0
+        # Lazy retransmission timer (see _arm_rto): the deadline, None
+        # while disarmed, and the one pending clock timer with its time.
+        self._rto_deadline: Optional[float] = None
+        self._rto_timer: Optional[EventHandle] = None
+        self._rto_timer_at = 0.0
         # statistics
         self.fast_retransmits = 0
         self.timeouts = 0
@@ -149,8 +152,9 @@ class TcpSender(SenderProtocol):
 
     def stop(self) -> None:
         super().stop()
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        if self._rto_timer is not None:
+            self._rto_timer.cancel()
+            self._rto_timer = None
 
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
@@ -209,7 +213,7 @@ class TcpSender(SenderProtocol):
         # timer those segments have no loss backstop: if the whole burst
         # dies (a blackout, a corruption storm) no ACK ever returns and
         # the sender deadlocks silently.
-        if self._rto_event is None and self.flight() > 0:
+        if self._rto_deadline is None and self.flight() > 0:
             self._arm_rto()
         if self.observers:
             self.notify("on_window", time=self.now, window=self.cwnd,
@@ -388,15 +392,47 @@ class TcpSender(SenderProtocol):
         self.on_rtt_sample(rtt)
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        if self.flight() <= 0:
-            self._rto_event = None
+        """Restart the retransmission timer at ``rto * backoff`` from now,
+        or disarm it when nothing is in flight.
+
+        The timer is lazy: arming only moves ``_rto_deadline``.  The one
+        clock timer is replaced only when the deadline moves before it
+        (a backoff reset or a smaller RTO); a timer that fires before the
+        deadline re-arms at exactly the deadline (:meth:`_rto_timer_fired`).
+        Timeouts therefore fire at the same times as with a timer
+        cancelled and rescheduled on every ACK, at one timer per RTO
+        instead of one per ACK.
+        """
+        timer = self._rto_timer
+        if self.snd_nxt <= self.snd_una:
+            self._rto_deadline = None
+            if timer is not None:
+                timer.cancel()
+                self._rto_timer = None
             return
-        self._rto_event = self.sim.schedule(self.rto * self._backoff,
-                                            self._on_rto)
+        sim = self.sim
+        deadline = sim.now + self.rto * self._backoff
+        self._rto_deadline = deadline
+        if timer is None or deadline < self._rto_timer_at:
+            if timer is not None:
+                timer.cancel()
+            self._rto_timer = sim.schedule_at(deadline, self._rto_timer_fired)
+            self._rto_timer_at = deadline
+
+    def _rto_timer_fired(self) -> None:
+        """Clock callback of the lazy timer: expire, or chase the deadline
+        the ACKs since it was set have moved."""
+        self._rto_timer = None
+        deadline = self._rto_deadline
+        if self.sim.now < deadline:
+            self._rto_timer = self.sim.schedule_at(deadline,
+                                                   self._rto_timer_fired)
+            self._rto_timer_at = deadline
+            return
+        self._on_rto()
 
     def _on_rto(self) -> None:
+        """Retransmission timeout: collapse the window and go back N."""
         if not self.running or self.flight() <= 0:
             return
         self.timeouts += 1

@@ -138,6 +138,24 @@ class TestCancellation:
         event.cancel()
         assert sim.pending() == 1
 
+    def test_close_drops_pending_events_and_keeps_counters(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, seen.append, "fired")
+        handle = sim.schedule(3.0, seen.append, "dropped")
+        sim.call_later(4.0, seen.append, "dropped too")
+        sim.run(until=2.0)
+        sim.close()
+        assert sim.pending() == 0
+        assert not handle.active
+        handle.cancel()     # still safe, and counts no corpse
+        assert (sim.now, sim.events_processed) == (2.0, 1)
+        # The simulator stays usable: new events run, dropped ones never.
+        sim.schedule(1.0, seen.append, "after")
+        sim.run()
+        assert seen == ["fired", "after"]
+        assert sim.pending() == 0
+
 
 class TestPeriodicTimer:
     def test_fires_repeatedly(self):

@@ -362,6 +362,26 @@ class TestFaultedContention:
                                deadline=3.0)
         assert stats.recovered
 
+    @pytest.mark.parametrize("protocol", ["verus", "cubic", "sprout"])
+    def test_empty_schedule_matches_plain_runner_without_red(self, protocol):
+        """With RED off nothing draws from the runners' differently
+        seeded streams, so an empty schedule reproduces the plain runner
+        byte for byte (the claim of the faults.sim docstring)."""
+        import json
+
+        from repro.cellular import generate_scenario_trace
+        from repro.experiments.runner import repeat_flows, run_trace_contention
+        trace = generate_scenario_trace("campus_pedestrian", duration=6.0,
+                                        seed=5)
+        specs = repeat_flows(protocol, 3)
+        kwargs = dict(duration=6.0, warmup=1.0, use_red=False, seed=5)
+        faulted = run_faulted_contention(trace, specs, FaultSchedule(),
+                                         **kwargs)
+        plain = run_trace_contention(trace, specs, **kwargs)
+        assert faulted.fault_stats["down"]["forwarded"] > 0
+        assert (json.dumps(faulted.summary(), sort_keys=True)
+                == json.dumps(plain.summary(), sort_keys=True))
+
     def test_permanent_uplink_outage_flags_degraded(self):
         # The link goes dark almost to the end; with RTO backoff in the
         # minutes by then, nothing is delivered in the last 50 ms.

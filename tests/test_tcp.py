@@ -259,7 +259,8 @@ class TestSackRecovery:
         # segments in the air — they must have a retransmission timer.
         assert len(sent) > n_before
         assert sender.flight() > 0
-        assert sender._rto_event is not None and sender._rto_event.active
+        assert sender._rto_deadline is not None
+        assert sender._rto_timer is not None and sender._rto_timer.active
         # Lose the whole burst (deliver nothing): the RTO must fire.
         timeouts_before = sender.timeouts
         sim.run(until=60.0)
