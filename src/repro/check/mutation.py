@@ -146,47 +146,6 @@ def _stale_interpolation_cache():
     return _patched(DelayProfiler, "add_sample", add_sample)
 
 
-def _dirty_freelist_ack():
-    """Perf defect: the ACK freelist hands back a recycled packet without
-    reassigning ``ack_seq``.  First-allocation ACKs are correct, so the
-    bug only appears once recycling starts — every pooled ACK then
-    acknowledges whatever sequence its previous life did."""
-    from ..netsim.packet import Packet, PacketPool
-
-    def acquire_ack(self, data, now, ack_seq, size):
-        free = self._free
-        if free:
-            self.reused += 1
-            ack = free.pop()
-            ack.flow_id = data.flow_id
-            ack.seq = data.seq
-            ack.size = size
-            ack.sent_time = now
-            ack.is_ack = True
-            # Seeded defect: ack.ack_seq keeps its previous-life value.
-            ack.echo_sent_time = data.sent_time
-            ack.window_at_send = data.window_at_send
-            ack.retransmission = data.retransmission
-            ack.enqueue_time = 0.0
-            ack.ecn = False
-            ack.payload = None
-            return ack
-        self.allocated += 1
-        return Packet(
-            flow_id=data.flow_id,
-            seq=data.seq,
-            size=size,
-            sent_time=now,
-            is_ack=True,
-            ack_seq=ack_seq,
-            echo_sent_time=data.sent_time,
-            window_at_send=data.window_at_send,
-            retransmission=data.retransmission,
-        )
-
-    return _patched(PacketPool, "acquire_ack", acquire_ack)
-
-
 def _tracelink_wrap_off_by_one():
     """Perf defect: the wraparound branch advances the replay cycle
     counter twice — exactly what happens if the inlined fast path *and*
@@ -429,8 +388,9 @@ def _probe_reordered_sack_path(apply):
 
     from ..netsim.engine import Simulator
     from ..netsim.impairments import ReorderingLink
-    from ..netsim.link import DelayLine, Link
+    from ..netsim.link import Link
     from ..netsim.queues import DropTailQueue
+    from ..netsim.topology import Dumbbell
     from ..tcp.base import TcpReceiver
     from ..tcp.cubic import CubicSender
 
@@ -440,13 +400,9 @@ def _probe_reordered_sack_path(apply):
         link = Link(sim, rate_bps=8e6,
                     queue=DropTailQueue(capacity_bytes=120_000),
                     loss_rate=0.005, rng=np.random.default_rng(3))
-        link.dst = ReorderingLink(sim, delay=0.0, every_n=4, hold_time=0.01,
-                                  dst=receiver.on_data).send
-        forward = DelayLine(sim, 0.02, dst=link.send)
-        reverse = DelayLine(sim, 0.02, dst=sender.on_ack)
-        sender.attach(sim, forward.send)
-        receiver.attach(sim, reverse.send)
-        sim.call_at(0.0, sender.start)
+        reorder = ReorderingLink(sim, delay=0.0, every_n=4, hold_time=0.01)
+        Dumbbell(sim, link, default_rtt=0.04,
+                 down=reorder).add_flow(sender, receiver)
         sim.run(until=3.0)
         return (sender.packets_sent, sender.retransmissions,
                 sender.timeouts, receiver.packets_received)
@@ -485,23 +441,20 @@ def _probe_blackout_rto_path(apply):
     for a run of backed-off timeouts, then heals.  Sender and receiver
     counters must match the clean implementation exactly."""
     from ..netsim.engine import Simulator
-    from ..netsim.link import DelayLine, Link
+    from ..netsim.link import Link
     from ..netsim.queues import DropTailQueue
+    from ..netsim.topology import Dumbbell
     from ..tcp.base import TcpReceiver
     from ..tcp.cubic import CubicSender
 
     def counters():
         sim = Simulator()
         sender, receiver = CubicSender(0), TcpReceiver(0)
-        link = Link(sim, rate_bps=8e6, queue=DropTailQueue(),
-                    dst=receiver.on_data)
-        forward = DelayLine(sim, 0.02, dst=link.send)
-        reverse = DelayLine(sim, 0.02, dst=sender.on_ack)
-        sender.attach(sim, forward.send)
-        receiver.attach(sim, reverse.send)
-        sim.call_at(0.0, sender.start)
+        link = Link(sim, rate_bps=8e6, queue=DropTailQueue())
+        bell = Dumbbell(sim, link, default_rtt=0.04)
+        bell.add_flow(sender, receiver)
         sim.call_at(1.0, setattr, link, "dst", lambda packet: None)
-        sim.call_at(4.0, setattr, link, "dst", receiver.on_data)
+        sim.call_at(4.0, setattr, link, "dst", bell.demux)
         sim.run(until=8.0)
         return (sender.packets_sent, sender.retransmissions,
                 sender.timeouts, receiver.packets_received)
@@ -511,6 +464,50 @@ def _probe_blackout_rto_path(apply):
         mutated = counters()
     if mutated != reference:
         return ["probe:blackout-rto-divergence"]
+    return []
+
+
+def _fault_uplink_bypassed():
+    """Wiring defect: the dumbbell routes every flow's ACKs straight to
+    its sender, past the shared ``up`` stage.  Plain runs have no such
+    stage and cannot tell; an uplink fault silently stops acting."""
+    from ..netsim.topology import Dumbbell
+
+    def _ack_sink(self, sender):
+        # Seeded defect: the up stage is never put on the reverse path.
+        return sender.on_ack
+
+    return _patched(Dumbbell, "_ack_sink", _ack_sink)
+
+
+def _probe_uplink_outage(apply):
+    """Oracle: two Cubic flows on a cellular trace through
+    :func:`~repro.faults.sim.run_faulted_contention` with an uplink-only
+    outage.  The uplink injector's accounting and every flow's counters
+    must match the clean implementation exactly."""
+    from ..cellular import generate_scenario_trace
+    from ..experiments.runner import repeat_flows
+    from ..faults.sim import run_faulted_contention
+    from ..faults.spec import make_schedule
+
+    trace = generate_scenario_trace("campus_pedestrian", duration=4.0,
+                                    technology="lte", seed=3)
+
+    def counters():
+        result = run_faulted_contention(
+            trace, repeat_flows("cubic", 2),
+            make_schedule("uplink_blackout", 4.0), duration=4.0,
+            warmup=0.5, seed=3)
+        return (result.fault_stats["up"],
+                [(s.packets_sent, s.retransmissions, s.timeouts)
+                 for s in result.senders],
+                [r.packets_received for r in result.receivers])
+
+    reference = counters()
+    with apply():
+        mutated = counters()
+    if mutated != reference:
+        return ["probe:uplink-outage-divergence"]
     return []
 
 
@@ -533,9 +530,6 @@ MUTANTS: List[Mutant] = [
     Mutant(name="stale-interpolation-cache", protocol="verus",
            description="profile updates stop invalidating the curve cache",
            apply=_stale_interpolation_cache),
-    Mutant(name="dirty-freelist-ack", protocol="verus",
-           description="recycled pooled ACK keeps its previous ack_seq",
-           apply=_dirty_freelist_ack),
     Mutant(name="tracelink-wrap-off-by-one", protocol="verus-trace",
            description="trace replay skips each cycle's first opportunity",
            apply=_tracelink_wrap_off_by_one),
@@ -559,6 +553,10 @@ MUTANTS: List[Mutant] = [
            description="fired RTO timer still taken as pending",
            apply=_tcp_lazy_rto_stale,
            probe=_probe_blackout_rto_path),
+    Mutant(name="fault-uplink-bypassed", protocol="faults",
+           description="dumbbell routes ACKs past its up stage",
+           apply=_fault_uplink_bypassed,
+           probe=_probe_uplink_outage),
 ]
 
 

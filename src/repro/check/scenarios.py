@@ -8,6 +8,12 @@ loss-recovery invariants fire).  :func:`run_audited` wires the path by
 hand — taps at all four observation points, invariant monitors on every
 seam — runs it, drains it, and returns the invariant report plus the
 epoch-level ``(t, W, D_est, delay)`` rows the golden-trace oracle diffs.
+
+It is the one path not built by :class:`~repro.netsim.Dumbbell`: its taps
+sit on all four seams, including the sender's own output and ACK input,
+and there is no forward access delay line (the bottleneck's own delay
+carries the propagation delay).  The blessed goldens pin exactly that
+shape, so it keeps its own wiring.
 """
 
 from __future__ import annotations
@@ -20,13 +26,11 @@ import numpy as np
 
 from ..campaign.spec import _canonical_json
 from ..core.sender import VerusSender
-from ..experiments.runner import FlowSpec, make_endpoints
+from ..experiments.runner import FlowSpec, close_run, make_endpoints
 from ..netsim.engine import PeriodicTimer, Simulator
 from ..netsim.link import DelayLine, LinkPhase, LinkSchedule, VariableLink
-from ..netsim.packet import PacketPool
 from ..netsim.queues import DropTailQueue
 from ..netsim.trace_link import TraceLink
-from ..netsim.topology import pooled_ack_sink
 from ..netsim.tracing import FlowTracer
 from ..tcp.base import TcpSender
 from .monitors import (
@@ -224,12 +228,7 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
     tracer = FlowTracer(clock=lambda: sim.now)
     link.dst = tracer.tap("receiver-in", dst=receiver.on_data)
     sender.attach(sim, tracer.tap("sender-out", dst=link.send))
-    # The ACK freelist runs *under* the tracing taps here, so the golden
-    # comparison doubles as proof that pooling is invisible to tracing.
-    ack_pool = PacketPool()
-    receiver.ack_pool = ack_pool
-    ack_in = tracer.tap("sender-ack-in",
-                        dst=pooled_ack_sink(sender.on_ack, ack_pool))
+    ack_in = tracer.tap("sender-ack-in", dst=sender.on_ack)
     reverse = DelayLine(sim, scenario.rtt / 2.0, dst=ack_in)
     receiver.attach(sim, tracer.tap("receiver-ack-out", dst=reverse.send))
 
@@ -278,6 +277,7 @@ def run_audited(scenario: CheckScenario) -> AuditedRun:
     }
     audit_conservation(report, counts, time=sim.now)
     queue_monitor.audit(sim.now)
+    close_run(sim, [sender], [receiver])
 
     return AuditedRun(scenario=scenario, report=report, rows=rows,
                       counts=counts, sender=sender, receiver=receiver,

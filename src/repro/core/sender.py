@@ -666,7 +666,7 @@ class VerusReceiver(ReceiverProtocol):
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
         if self.ack_every == 1:
-            self.send_ack(packet.make_ack(self.now, pool=self.ack_pool))
+            self.send_ack(packet.make_ack(self.now))
             return
         self._pending.append(packet.seq)
         self._carrier = packet
@@ -679,7 +679,7 @@ class VerusReceiver(ReceiverProtocol):
     def _flush(self) -> None:
         if not self._pending or self._carrier is None:
             return
-        ack = self._carrier.make_ack(self.now, pool=self.ack_pool)
+        ack = self._carrier.make_ack(self.now)
         ack.payload = {"acked": list(self._pending)}
         self._pending.clear()
         if self._flush_event is not None:

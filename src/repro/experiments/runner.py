@@ -186,11 +186,13 @@ def close_run(sim: Simulator, senders: Sequence[SenderProtocol],
 
 
 def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
-                  duration: float, default_rtt: float,
-                  warmup: float) -> ExperimentResult:
-    # ACKs on the clean reverse path are dead once the sender's handler
-    # returns, so every plain (fault-free) experiment recycles them.
-    bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt, ack_pool=True)
+                  duration: float, default_rtt: float, warmup: float,
+                  down=None, up=None) -> ExperimentResult:
+    """Every simulated run's one path: wire ``specs`` onto a
+    :class:`~repro.netsim.Dumbbell` (with the optional ``down``/``up``
+    stages), run it for ``duration`` and tear it down."""
+    bell = Dumbbell(sim, bottleneck, default_rtt=default_rtt,
+                    down=down, up=up)
     senders, receivers = [], []
     for flow_id, spec in enumerate(specs):
         sender, receiver = make_endpoints(spec, flow_id)
@@ -198,9 +200,10 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
         senders.append(sender)
         receivers.append(receiver)
     # Telemetry seam: when a session is active (repro run/sweep
-    # --telemetry), attach timeline recorders to every flow.  The local
-    # import keeps repro.obs out of the hot import path, and the common
-    # no-session case costs one None check per experiment.
+    # --telemetry, the soak harness's armed flight recorder), attach
+    # timeline recorders to every flow.  The local import keeps
+    # repro.obs out of the hot import path, and the common no-session
+    # case costs one None check per experiment.
     from ..obs.timeline import current_session
     session = current_session()
     if session is not None:
@@ -210,6 +213,32 @@ def _run_dumbbell(sim: Simulator, bottleneck, specs: Sequence[FlowSpec],
         session.finalize(sim)
     close_run(sim, senders, receivers)
     return ExperimentResult(list(specs), senders, receivers, duration, warmup)
+
+
+def path_rngs(seed: int) -> Tuple[np.random.Generator,
+                                  np.random.Generator, np.random.Generator]:
+    """The one seeding scheme of a simulated or live path.
+
+    Returns ``(rng, down_rng, up_rng)``: the queue and the bottleneck
+    link share ``rng = default_rng(seed)`` (all a plain runner needs),
+    and each fault stage draws from its own child of it.  The stages
+    take children 2 and 3 because those equal
+    ``SeedSequence(seed).spawn(4)[2:]``, the injector streams every
+    blessed faulted result was computed with.
+    """
+    rng = np.random.default_rng(seed)
+    _, _, down_rng, up_rng = rng.spawn(4)
+    return rng, down_rng, up_rng
+
+
+def _trace_bottleneck(sim: Simulator, trace: np.ndarray,
+                     rng: np.random.Generator, access_delay: float,
+                     use_red: bool, loss_rate: float) -> TraceLink:
+    """The §6.2 bottleneck: a looped cellular trace behind the paper's
+    RED queue.  The queue and the link draw from the one ``rng``."""
+    queue = REDQueue.paper_config(rng=rng) if use_red else None
+    return TraceLink(sim, trace, queue=queue, delay=access_delay,
+                     loop=True, loss_rate=loss_rate, rng=rng)
 
 
 def run_trace_contention(trace: np.ndarray, specs: Sequence[FlowSpec],
@@ -226,10 +255,8 @@ def run_trace_contention(trace: np.ndarray, specs: Sequence[FlowSpec],
     between the server and the base station.
     """
     sim = Simulator()
-    rng = np.random.default_rng(seed)
-    queue = REDQueue.paper_config(rng=rng) if use_red else None
-    bottleneck = TraceLink(sim, trace, queue=queue, delay=access_delay,
-                           loop=True, loss_rate=loss_rate, rng=rng)
+    bottleneck = _trace_bottleneck(sim, trace, np.random.default_rng(seed),
+                                   access_delay, use_red, loss_rate)
     return _run_dumbbell(sim, bottleneck, specs, duration, rtt, warmup)
 
 

@@ -42,7 +42,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..experiments.runner import ExperimentResult, FlowSpec, make_endpoints
+from ..experiments.runner import (
+    ExperimentResult,
+    FlowSpec,
+    make_endpoints,
+    path_rngs,
+)
 from ..netsim.queues import DropTailQueue, REDQueue
 from .clock import WallClock
 from .emulator import LinkEmulator
@@ -131,13 +136,11 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
                    host) -> ExperimentResult:
     loop = asyncio.get_running_loop()
     clock = WallClock(loop)
-    # Independent streams per stochastic component (queue, residual
-    # loss, downlink faults, uplink faults) — never one shared rng.
-    seeds = np.random.SeedSequence(seed).spawn(4)
-    queue_rng, loss_rng, down_rng, up_rng = (
-        np.random.default_rng(s) for s in seeds)
+    # The simulator's seeding scheme: queue and residual loss share one
+    # stream, each fault direction has its own.
+    rng, down_rng, up_rng = path_rngs(seed)
     if use_red:
-        queue = REDQueue.paper_config(rng=queue_rng)
+        queue = REDQueue.paper_config(rng=rng)
     else:
         queue = DropTailQueue(capacity_bytes=queue_bytes)
     impairment = (impairment_factory(clock)
@@ -156,7 +159,7 @@ async def _session(specs, trace, stepper, duration, downlink_delay,
     emulator = LinkEmulator(
         clock, trace=trace, stepper=stepper, queue=queue,
         downlink_delay=downlink_delay, uplink_delay=uplink_delay,
-        loss_rate=loss_rate, rng=loss_rng, impairment=impairment,
+        loss_rate=loss_rate, rng=rng, impairment=impairment,
         faults=down_faults, uplink_faults=up_faults)
     receiver_host = LiveHost(clock, name="receiver-host")
     sender_host = LiveHost(clock, name="sender-host")

@@ -12,9 +12,9 @@ from .fair_queue import DRRQueue
 from .flow import Clock, Demux, EventHandle, ReceiverProtocol, SenderProtocol
 from .impairments import DuplicatingLink, JitterLink, ReorderingLink
 from .link import DelayLine, Link, LinkPhase, LinkSchedule, VariableLink
-from .packet import ACK_BYTES, MTU_BYTES, Packet, PacketPool
+from .packet import ACK_BYTES, MTU_BYTES, Packet
 from .queues import CoDelQueue, DropTailQueue, QueueStats, REDQueue
-from .topology import Dumbbell, DirectPath, FlowHandle, OnOffSource, SinkReceiver
+from .topology import Dumbbell, FlowHandle, OnOffSource, SinkReceiver
 from .trace_link import TraceLink
 from .tracing import FlowTracer, PacketTap, TapRecord
 
@@ -25,7 +25,6 @@ __all__ = [
     "DelayLine",
     "Demux",
     "DRRQueue",
-    "DirectPath",
     "DropTailQueue",
     "Dumbbell",
     "DuplicatingLink",
@@ -41,7 +40,6 @@ __all__ = [
     "MTU_BYTES",
     "OnOffSource",
     "Packet",
-    "PacketPool",
     "PacketTap",
     "PeriodicTimer",
     "QueueStats",

@@ -21,7 +21,7 @@ except ImportError:  # pragma: no cover
     def runtime_checkable(cls):  # type: ignore[misc]
         return cls
 
-from .packet import Packet, PacketPool
+from .packet import Packet
 
 Transmit = Callable[[Packet], None]
 
@@ -167,11 +167,6 @@ class ReceiverProtocol:
         self.bytes_received = 0
         self.deliveries: List[Tuple[float, int, float, int]] = []
         self.record = True
-        #: Optional acknowledgement freelist (see
-        #: :class:`~repro.netsim.packet.PacketPool`).  Set by the wiring
-        #: layer when the topology releases ACKs after delivery; None
-        #: keeps every ACK freshly allocated.
-        self.ack_pool: Optional[PacketPool] = None
         # Same observer seam as SenderProtocol, for receiver-side state
         # worth a timeline (e.g. Sprout's forecaster belief).  Empty for
         # normal runs; emit points guard on the list.
@@ -211,7 +206,7 @@ class ReceiverProtocol:
 
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
-        self.send_ack(packet.make_ack(self.now, pool=self.ack_pool))
+        self.send_ack(packet.make_ack(self.now))
 
     def _record(self, packet: Packet) -> None:
         self.packets_received += 1

@@ -10,16 +10,12 @@ can reconstruct per-packet context without keeping unbounded state.
 packet construction sits on the per-delivery hot path of every simulated
 link, and slots cut both the per-instance memory and the attribute access
 cost.  Equality still compares all fields, mirroring the previous
-dataclass semantics.  :class:`PacketPool` adds an *optional* freelist for
-the one packet population that is provably short-lived — acknowledgements
-— behind an explicit wiring seam that stays off by default, so tracing
-and fault-injection paths (which may hold packet references across time)
-always see fresh objects unless a caller opts in.
+dataclass semantics.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 #: Default maximum transmission unit used throughout the paper's experiments.
 MTU_BYTES = 1400
@@ -88,31 +84,20 @@ class Packet:
         self.payload = payload
 
     def make_ack(self, now: float, ack_seq: Optional[int] = None,
-                 size: int = ACK_BYTES,
-                 pool: "Optional[PacketPool]" = None) -> "Packet":
+                 size: int = ACK_BYTES) -> "Packet":
         """Build the acknowledgement for this data packet.
 
         ``ack_seq`` defaults to this packet's own sequence number (per-packet
         acknowledgement, as used by Verus and Sprout); TCP receivers pass the
-        cumulative next-expected sequence instead.  When ``pool`` is given
-        the acknowledgement is drawn from that freelist instead of being
-        freshly allocated; every field is (re)assigned either way.
+        cumulative next-expected sequence instead.
         """
         if ack_seq is None:
             ack_seq = self.seq
-        if pool is not None:
-            return pool.acquire_ack(self, now, ack_seq, size)
-        return Packet(
-            flow_id=self.flow_id,
-            seq=self.seq,
-            size=size,
-            sent_time=now,
-            is_ack=True,
-            ack_seq=ack_seq,
-            echo_sent_time=self.sent_time,
-            window_at_send=self.window_at_send,
-            retransmission=self.retransmission,
-        )
+        # Positional, in ``__init__`` order: every ACK is built here, and
+        # a keyword call costs about twice as much.
+        return Packet(self.flow_id, self.seq, size, now, True, ack_seq,
+                      self.sent_time, self.window_at_send,
+                      self.retransmission)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Packet:
@@ -125,73 +110,3 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"
         return f"<{kind} flow={self.flow_id} seq={self.seq} size={self.size}>"
-
-
-class PacketPool:
-    """Bounded freelist for short-lived acknowledgement packets.
-
-    The seam contract: a packet may be :meth:`release`-d only once nothing
-    holds a reference to it — in practice the wiring layer releases an ACK
-    right after the sender's ``on_ack`` handler returns (see
-    :class:`~repro.netsim.topology.Dumbbell`).  ``acquire_ack`` reassigns
-    *every* field, so a recycled packet is indistinguishable from a fresh
-    one; ``release`` additionally drops the ``payload`` reference so pooled
-    corpses never pin protocol state alive.  Paths that retain packets
-    across simulated time (fault injectors replaying or duplicating,
-    debugging by object identity) must simply not enable the pool — it is
-    off by default everywhere.
-    """
-
-    __slots__ = ("_free", "max_size", "allocated", "reused")
-
-    def __init__(self, max_size: int = 256):
-        if max_size < 1:
-            raise ValueError("max_size must be at least 1")
-        self._free: List[Packet] = []
-        self.max_size = max_size
-        #: Packets built fresh because the freelist was empty.
-        self.allocated = 0
-        #: Packets served from the freelist.
-        self.reused = 0
-
-    def acquire_ack(self, data: Packet, now: float, ack_seq: int,
-                    size: int) -> Packet:
-        """The pooled equivalent of :meth:`Packet.make_ack`."""
-        free = self._free
-        if free:
-            self.reused += 1
-            ack = free.pop()
-            ack.flow_id = data.flow_id
-            ack.seq = data.seq
-            ack.size = size
-            ack.sent_time = now
-            ack.is_ack = True
-            ack.ack_seq = ack_seq
-            ack.echo_sent_time = data.sent_time
-            ack.window_at_send = data.window_at_send
-            ack.retransmission = data.retransmission
-            ack.enqueue_time = 0.0
-            ack.ecn = False
-            ack.payload = None
-            return ack
-        self.allocated += 1
-        return Packet(
-            flow_id=data.flow_id,
-            seq=data.seq,
-            size=size,
-            sent_time=now,
-            is_ack=True,
-            ack_seq=ack_seq,
-            echo_sent_time=data.sent_time,
-            window_at_send=data.window_at_send,
-            retransmission=data.retransmission,
-        )
-
-    def release(self, packet: Packet) -> None:
-        """Return ``packet`` to the freelist (drops any payload reference)."""
-        packet.payload = None
-        if len(self._free) < self.max_size:
-            self._free.append(packet)
-
-    def __len__(self) -> int:
-        return len(self._free)

@@ -10,13 +10,13 @@ the forward path and a clean, ample reverse path for acknowledgements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .engine import Simulator
 from .flow import Demux, ReceiverProtocol, SenderProtocol
 from .link import DelayLine
-from .packet import Packet, PacketPool
+from .packet import Packet
 
 
 @dataclass
@@ -29,20 +29,6 @@ class FlowHandle:
     rtt: float
     start_at: float
     stop_at: Optional[float] = None
-
-
-def pooled_ack_sink(on_ack: Callable[[Packet], None],
-                    pool: PacketPool) -> Callable[[Packet], None]:
-    """Wrap a sender's ``on_ack`` so every ACK returns to ``pool`` after
-    the handler runs.  Safe exactly because the ACK is dead once the
-    handler returns: nothing downstream of ``on_ack`` holds it."""
-    release = pool.release
-
-    def deliver(packet: Packet) -> None:
-        on_ack(packet)
-        release(packet)
-
-    return deliver
 
 
 class Dumbbell:
@@ -59,25 +45,43 @@ class Dumbbell:
         Base round-trip propagation delay for flows that do not override it.
         Half is applied on the forward access path (before the bottleneck)
         and half on the reverse acknowledgement path.
-    ack_pool:
-        When True, each flow gets a per-flow acknowledgement freelist:
-        ACKs are recycled after the sender's ``on_ack`` returns.  Leave
-        off (the default) when anything on the reverse path retains
-        packet references across time — e.g. fault injectors that delay,
-        duplicate or replay ACKs.
+    down:
+        Optional stage between the bottleneck and the data demux (e.g. a
+        downlink :class:`~repro.faults.injector.FaultInjector`).  Same
+        ``send(packet)``/writable ``dst`` surface as the bottleneck.
+    up:
+        Optional stage shared by every flow's reverse path, feeding an
+        ACK demux (e.g. an uplink fault injector).  Without it each
+        reverse delay line calls its sender's ``on_ack`` directly.
     """
 
     def __init__(self, sim: Simulator, bottleneck, default_rtt: float = 0.05,
-                 ack_pool: bool = False):
+                 down=None, up=None):
         if default_rtt < 0:
             raise ValueError("default_rtt must be non-negative")
         self.sim = sim
         self.bottleneck = bottleneck
         self.default_rtt = default_rtt
-        self.ack_pool = ack_pool
         self.demux = Demux()
-        self.bottleneck.dst = self.demux
+        if down is None:
+            bottleneck.dst = self.demux
+        else:
+            bottleneck.dst = down.send
+            down.dst = self.demux
+        self.up = up
+        self.ack_demux = Demux()
+        if up is not None:
+            up.dst = self.ack_demux
         self.flows: List[FlowHandle] = []
+
+    def _ack_sink(self, sender: SenderProtocol) -> Callable[[Packet], None]:
+        """Where ``sender``'s reverse path delivers its ACKs: the sender
+        itself, or the shared ``up`` stage (registering the sender with
+        the ACK demux behind it)."""
+        if self.up is None:
+            return sender.on_ack
+        self.ack_demux.register(sender.flow_id, sender.on_ack)
+        return self.up.send
 
     def add_flow(self, sender: SenderProtocol, receiver: ReceiverProtocol,
                  rtt: Optional[float] = None, start_at: float = 0.0,
@@ -90,13 +94,8 @@ class Dumbbell:
             raise ValueError("rtt must be non-negative")
 
         forward_access = DelayLine(self.sim, rtt / 2.0, dst=self.bottleneck.send)
-        if self.ack_pool:
-            pool = PacketPool()
-            receiver.ack_pool = pool
-            ack_sink = pooled_ack_sink(sender.on_ack, pool)
-        else:
-            ack_sink = sender.on_ack
-        reverse_path = DelayLine(self.sim, rtt / 2.0, dst=ack_sink)
+        reverse_path = DelayLine(self.sim, rtt / 2.0,
+                                 dst=self._ack_sink(sender))
 
         sender.attach(self.sim, forward_access.send)
         receiver.attach(self.sim, reverse_path.send)
@@ -111,39 +110,6 @@ class Dumbbell:
 
     def run(self, duration: float) -> None:
         """Convenience: run the simulation for ``duration`` seconds."""
-        self.sim.run(until=self.sim.now + duration)
-
-
-class DirectPath:
-    """Single flow over a single bottleneck, no contention.
-
-    A lighter-weight wiring used by unit tests and single-flow experiments
-    (e.g. the delay-profile evolution of Fig 7).
-    """
-
-    def __init__(self, sim: Simulator, bottleneck,
-                 sender: SenderProtocol, receiver: ReceiverProtocol,
-                 rtt: float = 0.05, ack_pool: bool = False):
-        self.sim = sim
-        self.bottleneck = bottleneck
-        self.sender = sender
-        self.receiver = receiver
-
-        forward_access = DelayLine(sim, rtt / 2.0, dst=bottleneck.send)
-        if ack_pool:
-            pool = PacketPool()
-            receiver.ack_pool = pool
-            ack_sink = pooled_ack_sink(sender.on_ack, pool)
-        else:
-            ack_sink = sender.on_ack
-        reverse_path = DelayLine(sim, rtt / 2.0, dst=ack_sink)
-        bottleneck.dst = receiver.on_data
-
-        sender.attach(sim, forward_access.send)
-        receiver.attach(sim, reverse_path.send)
-
-    def run(self, duration: float, start_at: float = 0.0) -> None:
-        self.sim.call_at(max(start_at, self.sim.now), self.sender.start)
         self.sim.run(until=self.sim.now + duration)
 
 

@@ -269,20 +269,30 @@ def _run_tracelink(workload: dict) -> int:
     return received[0]
 
 
+def _run_one_flow(sim, link, sender, receiver, rtt: float,
+                  duration: float) -> int:
+    """Run one flow over ``link`` on a one-flow dumbbell, tear the run
+    down, and return the delivered-packet count."""
+    from ..experiments.runner import close_run
+    from ..netsim import Dumbbell
+    Dumbbell(sim, link, default_rtt=rtt).add_flow(sender, receiver)
+    sim.run(until=duration)
+    close_run(sim, [sender], [receiver])
+    return receiver.packets_received
+
+
 def _setup_verus_direct(params: dict) -> Tuple[Any, str]:
     return params, hash_parts("sim.verus_direct", params)
 
 
 def _run_verus_direct(workload: dict) -> int:
     from ..core import VerusConfig, VerusReceiver, VerusSender
-    from ..netsim import DirectPath, DropTailQueue, Link, Simulator
+    from ..netsim import DropTailQueue, Link, Simulator
     sim = Simulator()
     link = Link(sim, rate_bps=workload["rate_bps"], queue=DropTailQueue())
-    sender = VerusSender(0, VerusConfig())
-    receiver = VerusReceiver(0)
-    DirectPath(sim, link, sender, receiver,
-               rtt=workload["rtt"], ack_pool=True).run(workload["duration"])
-    return receiver.packets_received
+    return _run_one_flow(sim, link, VerusSender(0, VerusConfig()),
+                         VerusReceiver(0), workload["rtt"],
+                         workload["duration"])
 
 
 def _setup_verus_highrate(params: dict) -> Tuple[Any, str]:
@@ -296,16 +306,14 @@ def _verus_lossy_flow(workload: dict, rate_bps: float,
     import numpy as np
 
     from ..core import VerusConfig, VerusReceiver, VerusSender
-    from ..netsim import DirectPath, DropTailQueue, Link, Simulator
+    from ..netsim import DropTailQueue, Link, Simulator
     sim = Simulator()
     link = Link(sim, rate_bps=rate_bps, queue=DropTailQueue(),
                 loss_rate=workload["loss_rate"],
                 rng=np.random.default_rng(workload["seed"]))
     sender = VerusSender(0, VerusConfig(r=workload["r"]))
-    receiver = VerusReceiver(0)
-    DirectPath(sim, link, sender, receiver,
-               rtt=workload["rtt"]).run(duration)
-    return receiver.packets_received
+    return _run_one_flow(sim, link, sender, VerusReceiver(0),
+                         workload["rtt"], duration)
 
 
 def _run_verus_highrate(workload: dict) -> int:

@@ -53,7 +53,7 @@ class SproutReceiver(ReceiverProtocol):
                 self._delay_floor = delay
             if self._tick_min_delay is None or delay < self._tick_min_delay:
                 self._tick_min_delay = delay
-        ack = packet.make_ack(self.now, pool=self.ack_pool)
+        ack = packet.make_ack(self.now)
         ack.payload = {"budget": self._budget}
         self.send_ack(ack)
 

@@ -52,8 +52,7 @@ class TcpReceiver(ReceiverProtocol):
                 self.next_expected += 1
         elif packet.seq > self.next_expected:
             self._out_of_order.add(packet.seq)
-        self.send_ack(packet.make_ack(self.now, ack_seq=self.next_expected,
-                                      pool=self.ack_pool))
+        self.send_ack(packet.make_ack(self.now, ack_seq=self.next_expected))
 
 
 class TcpSender(SenderProtocol):

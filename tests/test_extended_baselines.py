@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import FlowSpec, make_endpoints
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator
 from repro.pcc import PccReceiver, PccSender, allegro_utility
 from repro.tcp import (
     BinomialSender,
@@ -22,7 +22,8 @@ def run_flow(sender, receiver, rate_bps=10e6, rtt=0.05, duration=40.0,
     link = Link(sim, rate_bps=rate_bps,
                 queue=DropTailQueue(capacity_bytes=queue_bytes),
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
+    path = Dumbbell(sim, link, default_rtt=rtt)
+    path.add_flow(sender, receiver)
     path.run(duration)
     return flow_stats(receiver.deliveries, start=duration / 2, end=duration)
 
@@ -43,7 +44,6 @@ class TestLedbat:
     def test_yields_to_cubic(self):
         """Background transport: LEDBAT backs off when Cubic floods."""
         sim = Simulator()
-        from repro.netsim import Dumbbell
         link = Link(sim, rate_bps=10e6,
                     queue=DropTailQueue(capacity_bytes=500_000))
         bell = Dumbbell(sim, link, default_rtt=0.05)
@@ -177,7 +177,8 @@ class TestPccSender:
         link = Link(sim, rate_bps=10e6,
                     queue=DropTailQueue(capacity_bytes=200_000))
         sender, receiver = PccSender(0), PccReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        path = Dumbbell(sim, link, default_rtt=0.05)
+        path.add_flow(sender, receiver)
         sim.schedule_at(30.0, lambda: setattr(link, "rate_bps", 2e6))
         path.run(90.0)
         tail = flow_stats(receiver.deliveries, start=70.0, end=90.0)

@@ -9,9 +9,8 @@ segments and compare firing order, ``events_processed``, ``now`` and
 ``pending()`` against a minimal reference model that knows nothing about
 Events, corpses or compaction.
 
-The slotted :class:`Packet` and its acknowledgement freelist get the same
-treatment: for arbitrary field values and arbitrary acquire/release
-sequences, a pooled ACK must be indistinguishable from a fresh one.
+The slotted :class:`Packet` must stay unhashable, like the dataclass it
+replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import ACK_BYTES, Packet, PacketPool
+from repro.netsim import Packet
 from repro.netsim.engine import SimulationError, Simulator
 
 
@@ -174,65 +173,9 @@ class TestSchedulerMatchesHeapqReference:
 
 
 # ---------------------------------------------------------------------------
-# Slotted Packet + acknowledgement freelist
+# Slotted Packet
 # ---------------------------------------------------------------------------
-_DATA_PACKETS = st.builds(
-    Packet,
-    flow_id=st.integers(min_value=0, max_value=7),
-    seq=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=40, max_value=1500),
-    sent_time=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-    window_at_send=st.floats(min_value=0.0, max_value=500.0,
-                             allow_nan=False),
-    retransmission=st.booleans(),
-)
-
-
 class TestPooledAckEquivalence:
-    @given(data=_DATA_PACKETS,
-           now=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-           ack_seq=st.one_of(st.none(), st.integers(min_value=0,
-                                                    max_value=10_000)))
-    @settings(max_examples=200, deadline=None)
-    def test_pooled_ack_equals_fresh_ack(self, data, now, ack_seq):
-        fresh = data.make_ack(now, ack_seq=ack_seq)
-        pool = PacketPool()
-        first = data.make_ack(now, ack_seq=ack_seq, pool=pool)
-        assert first == fresh
-        # Dirty the packet thoroughly, release, and re-acquire: recycling
-        # must scrub every field back to exactly the fresh-ACK values.
-        first.payload = {"stale": True}
-        first.ecn = True
-        first.enqueue_time = 123.0
-        first.echo_sent_time = -1.0
-        pool.release(first)
-        recycled = data.make_ack(now, ack_seq=ack_seq, pool=pool)
-        assert recycled is first
-        assert recycled == fresh
-        assert pool.allocated == 1 and pool.reused == 1
-
-    @given(seqs=st.lists(st.integers(min_value=0, max_value=50),
-                         min_size=1, max_size=120),
-           max_size=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=100, deadline=None)
-    def test_freelist_bounded_and_always_clean(self, seqs, max_size):
-        pool = PacketPool(max_size=max_size)
-        held = []
-        for i, seq in enumerate(seqs):
-            data = Packet(flow_id=1, seq=seq, sent_time=float(i),
-                          window_at_send=float(seq))
-            ack = data.make_ack(float(i) + 0.5, pool=pool)
-            assert ack == data.make_ack(float(i) + 0.5)  # fresh reference
-            assert ack.size == ACK_BYTES and ack.is_ack
-            if i % 3 == 0:
-                held.append(ack)  # simulate a path that retains the ACK
-            else:
-                ack.payload = {"dirt": i}
-                pool.release(ack)
-                assert ack.payload is None
-            assert len(pool) <= max_size
-        assert pool.allocated + pool.reused == len(seqs)
-
     def test_packet_is_unhashable_like_the_dataclass_was(self):
         packet = Packet(flow_id=0, seq=1)
         try:

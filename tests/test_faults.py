@@ -363,10 +363,13 @@ class TestFaultedContention:
         assert stats.recovered
 
     @pytest.mark.parametrize("protocol", ["verus", "cubic", "sprout"])
-    def test_empty_schedule_matches_plain_runner_without_red(self, protocol):
-        """With RED off nothing draws from the runners' differently
-        seeded streams, so an empty schedule reproduces the plain runner
-        byte for byte (the claim of the faults.sim docstring)."""
+    @pytest.mark.parametrize("use_red,loss_rate",
+                             [(False, 0.0), (True, 0.0), (True, 0.01)])
+    def test_empty_schedule_matches_plain_runner(self, use_red, loss_rate,
+                                                 protocol):
+        """Both runners seed the queue and the link alike, and an empty
+        schedule neither draws nor delays, so it reproduces the plain
+        runner byte for byte (the claim of the faults.sim docstring)."""
         import json
 
         from repro.cellular import generate_scenario_trace
@@ -374,7 +377,8 @@ class TestFaultedContention:
         trace = generate_scenario_trace("campus_pedestrian", duration=6.0,
                                         seed=5)
         specs = repeat_flows(protocol, 3)
-        kwargs = dict(duration=6.0, warmup=1.0, use_red=False, seed=5)
+        kwargs = dict(duration=6.0, warmup=1.0, use_red=use_red,
+                      loss_rate=loss_rate, seed=5)
         faulted = run_faulted_contention(trace, specs, FaultSchedule(),
                                          **kwargs)
         plain = run_trace_contention(trace, specs, **kwargs)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim import ACK_BYTES, MTU_BYTES, Packet, PacketPool
+from repro.netsim import ACK_BYTES, MTU_BYTES, Packet
 
 
 class TestPacket:
@@ -57,41 +57,3 @@ class TestSlottedPacket:
     def test_unhashable_like_the_old_dataclass(self):
         with pytest.raises(TypeError):
             hash(Packet(flow_id=0, seq=0))
-
-
-class TestPacketPool:
-    def test_pooled_ack_matches_fresh_ack(self):
-        pool = PacketPool()
-        data = Packet(flow_id=3, seq=9, sent_time=1.5, window_at_send=12.0,
-                      retransmission=True)
-        fresh = data.make_ack(2.0)
-        pooled = data.make_ack(2.0, pool=pool)
-        assert pooled == fresh
-        assert pool.allocated == 1
-
-    def test_recycled_ack_is_fully_reassigned(self):
-        pool = PacketPool()
-        first = Packet(flow_id=1, seq=5, sent_time=0.5,
-                       window_at_send=7.0).make_ack(1.0, pool=pool)
-        first.payload = {"stale": True}
-        first.ecn = True
-        pool.release(first)
-        data = Packet(flow_id=2, seq=6, sent_time=2.5, window_at_send=3.0)
-        recycled = data.make_ack(3.0, pool=pool)
-        assert recycled is first  # actually reused
-        assert recycled == data.make_ack(3.0)  # but indistinguishable
-        assert recycled.payload is None and recycled.ecn is False
-        assert pool.reused == 1
-
-    def test_release_is_bounded(self):
-        pool = PacketPool(max_size=2)
-        packets = [Packet(flow_id=0, seq=i) for i in range(5)]
-        for packet in packets:
-            pool.release(packet)
-        assert len(pool) == 2
-
-    def test_release_drops_payload_reference(self):
-        pool = PacketPool()
-        packet = Packet(flow_id=0, seq=0, payload={"acked": [1, 2]})
-        pool.release(packet)
-        assert packet.payload is None

@@ -10,7 +10,7 @@ contract two ways:
    fault schedule — whose canonical-JSON ``ExperimentResult.summary()``
    payloads are committed under ``tests/golden/perf_equivalence/`` and
    compared **byte for byte** on every run.  Any change to the scheduler,
-   packet freelist, trace-link replay schedule, interpolation caches or
+   path wiring, trace-link replay schedule, interpolation caches or
    ACK hot path that perturbs behaviour shows up as a snapshot diff.
 
 2. The ``repro check`` oracle — the audited scenarios' committed golden

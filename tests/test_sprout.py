@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator, TraceLink
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator, TraceLink
 from repro.sprout import (
     RateBelief,
     SproutForecaster,
@@ -174,7 +174,8 @@ def run_sprout(rate_bps=10e6, rtt=0.05, duration=30.0):
     sim = Simulator()
     link = Link(sim, rate_bps=rate_bps, queue=DropTailQueue())
     sender, receiver = SproutSender(0), SproutReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
+    path = Dumbbell(sim, link, default_rtt=rtt)
+    path.add_flow(sender, receiver)
     path.run(duration)
     return sender, receiver
 
@@ -198,7 +199,8 @@ class TestEndToEnd:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         verus_snd = VerusSender(0, VerusConfig())
         verus_rcv = VerusReceiver(0)
-        DirectPath(sim, link, verus_snd, verus_rcv, rtt=0.05).run(30.0)
+        Dumbbell(sim, link, default_rtt=0.05).add_flow(verus_snd, verus_rcv)
+        sim.run(until=30.0)
         sprout = flow_stats(sprout_rcv.deliveries, start=10.0, end=30.0)
         verus = flow_stats(verus_rcv.deliveries, start=10.0, end=30.0)
         assert sprout.mean_delay < verus.mean_delay
@@ -209,7 +211,8 @@ class TestEndToEnd:
         link = Link(sim, rate_bps=100e6, queue=DropTailQueue())
         sender = SproutSender(0)
         receiver = SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
+        path = Dumbbell(sim, link, default_rtt=0.02)
+        path.add_flow(sender, receiver)
         path.run(30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps < 25e6
@@ -218,7 +221,8 @@ class TestEndToEnd:
         sim = Simulator()
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender, receiver = SproutSender(0), SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        path = Dumbbell(sim, link, default_rtt=0.05)
+        path.add_flow(sender, receiver)
         sim.schedule_at(15.0, lambda: setattr(link, "rate_bps", 1e6))
         path.run(30.0)
         tail = flow_stats(receiver.deliveries, start=20.0, end=30.0)
@@ -232,7 +236,8 @@ class TestEndToEnd:
         sim = Simulator()
         link = TraceLink(sim, trace, delay=0.01)
         sender, receiver = SproutSender(0), SproutReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
+        path = Dumbbell(sim, link, default_rtt=0.02)
+        path.add_flow(sender, receiver)
         path.run(30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps > 0.3 * link.average_rate_bps()

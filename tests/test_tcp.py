@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Packet, Simulator
+from repro.netsim import DropTailQueue, Dumbbell, Link, Packet, Simulator
 from repro.tcp import (
     DUPACK_THRESHOLD,
     CubicSender,
@@ -23,7 +23,8 @@ def run_tcp(cls, rate_bps=10e6, rtt=0.05, duration=20.0,
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
     sender = cls(0, **kwargs)
     receiver = TcpReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
+    path = Dumbbell(sim, link, default_rtt=rtt)
+    path.add_flow(sender, receiver)
     path.run(duration)
     return sender, receiver
 
@@ -98,7 +99,8 @@ class TestCommonBehaviour:
         link = Link(sim, rate_bps=100e6, queue=DropTailQueue())
         sender = cls(0)
         receiver = TcpReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.1)
+        path = Dumbbell(sim, link, default_rtt=0.1)
+        path.add_flow(sender, receiver)
         path.run(0.35)   # ~3 RTTs
         assert sender.cwnd >= floor
 
@@ -227,7 +229,8 @@ class TestSackRecovery:
                     rng=np.random.default_rng(0))
         sender = CubicSender(0)
         receiver = TcpReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        path = Dumbbell(sim, link, default_rtt=0.05)
+        path.add_flow(sender, receiver)
         sim.schedule_at(5.0, lambda: setattr(link, "loss_rate", 1.0 - 1e-12))
         sim.schedule_at(8.0, lambda: setattr(link, "loss_rate", 0.0))
         path.run(20.0)

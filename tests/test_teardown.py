@@ -58,3 +58,21 @@ def test_dropped_result_frees_its_run(runner, protocol):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_dropped_audited_run_frees_its_run():
+    from repro.check import build_scenario, run_audited
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_audited(build_scenario("cubic", duration=1.0, drain=0.5))
+        sim = weakref.ref(run.sender.sim)
+        assert run.counts["events"] > 0
+        assert run.sender.sim.pending() == 0
+        del run
+        assert sim() is None
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import NORMAL, RECOVERY, SLOW_START, VerusConfig, VerusReceiver, VerusSender
 from repro.metrics import flow_stats
-from repro.netsim import DirectPath, DropTailQueue, Link, Simulator, TraceLink
+from repro.netsim import DropTailQueue, Dumbbell, Link, Simulator, TraceLink
 
 
 def run_verus(rate_bps=10e6, rtt=0.05, duration=20.0, queue_bytes=None,
@@ -16,7 +16,8 @@ def run_verus(rate_bps=10e6, rtt=0.05, duration=20.0, queue_bytes=None,
                 loss_rate=loss_rate, rng=np.random.default_rng(seed))
     sender = VerusSender(0, config if config is not None else VerusConfig())
     receiver = VerusReceiver(0)
-    path = DirectPath(sim, link, sender, receiver, rtt=rtt)
+    path = Dumbbell(sim, link, default_rtt=rtt)
+    path.add_flow(sender, receiver)
     path.run(duration)
     return sender, receiver
 
@@ -117,7 +118,8 @@ class TestLossHandling:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        path = Dumbbell(sim, link, default_rtt=0.05)
+        path.add_flow(sender, receiver)
         sim.schedule_at(8.0, lambda: setattr(link, "loss_rate", 1.0 - 1e-12))
         sim.schedule_at(11.0, lambda: setattr(link, "loss_rate", 0.0))
         path.run(25.0)
@@ -135,7 +137,8 @@ class TestTraceDriven:
         link = TraceLink(sim, trace, delay=0.01)
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.02)
+        path = Dumbbell(sim, link, default_rtt=0.02)
+        path.add_flow(sender, receiver)
         path.run(30.0)
         stats = flow_stats(receiver.deliveries, start=5.0, end=30.0)
         offered = link.average_rate_bps()
@@ -149,7 +152,8 @@ class TestLifecycle:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender = VerusSender(0)
         receiver = VerusReceiver(0)
-        path = DirectPath(sim, link, sender, receiver, rtt=0.05)
+        path = Dumbbell(sim, link, default_rtt=0.05)
+        path.add_flow(sender, receiver)
         sim.schedule_at(5.0, sender.stop)
         path.run(10.0)
         sent_at_stop = sender.packets_sent
@@ -203,7 +207,8 @@ class TestAckAggregation:
         link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
         sender = VerusSender(0, VerusConfig())
         receiver = VerusReceiver(0, ack_every=2)
-        DirectPath(sim, link, sender, receiver, rtt=0.05).run(30.0)
+        Dumbbell(sim, link, default_rtt=0.05).add_flow(sender, receiver)
+        sim.run(until=30.0)
         stats = flow_stats(receiver.deliveries, start=10.0, end=30.0)
         assert stats.throughput_bps > 0.85 * 10e6
         assert sender.losses_detected == 0
@@ -217,7 +222,8 @@ class TestAckAggregation:
             link = Link(sim, rate_bps=10e6, queue=DropTailQueue())
             sender = VerusSender(0, VerusConfig())
             receiver = VerusReceiver(0, ack_every=every)
-            DirectPath(sim, link, sender, receiver, rtt=0.05).run(30.0)
+            Dumbbell(sim, link, default_rtt=0.05).add_flow(sender, receiver)
+            sim.run(until=30.0)
             return flow_stats(receiver.deliveries, start=10.0, end=30.0)
         per_packet = run(1)
         batched = run(4)
