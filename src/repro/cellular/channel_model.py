@@ -147,7 +147,7 @@ class CellularChannelModel:
         rng = self.rng
 
         # --- slow fading: OU process in log domain, stepped every TTI ----
-        log_fade = self._ou_path(n_ttis, p.fading_theta, p.fading_sigma)
+        log_fade_l = self._ou_path(n_ttis, p.fading_theta, p.fading_sigma)
 
         # --- outage episodes ---------------------------------------------
         in_outage = self._outage_mask(n_ttis, duration)
@@ -180,18 +180,19 @@ class CellularChannelModel:
         # straightforward loop, so traces are bit-identical; note the
         # share draw was already short-circuited away when share == 1.0,
         # which is why skipping _user_share entirely without competitors
-        # leaves the stream untouched.
+        # leaves the stream untouched.  The burst jitter is drawn as
+        # ``half_tti * random()``: numpy's ``uniform(0, h)`` computes
+        # ``0 + h * random()`` from the same single double, so the value
+        # is identical at a third of the call cost.
         mean_burst_nominal = p.mean_burst_packets
         burst_sigma = p.burst_sigma
         fast_sigma = p.fast_fading_sigma
         rng_random = rng.random
         rng_normal = rng.normal
-        rng_uniform = rng.uniform
         rng_lognormal = rng.lognormal
         exp = math.exp
         log = math.log
         append = times.append
-        log_fade_l = log_fade.tolist()
         in_outage_l = in_outage.tolist()
         half_tti = TTI_SECONDS * 0.5
         has_competitors = bool(competitors)
@@ -230,7 +231,7 @@ class CellularChannelModel:
                 continue
             # Sub-TTI jitter of the burst start, then back-to-back packets
             # at the peak radio rate.
-            start = t + rng_uniform(0.0, half_tti)
+            start = t + half_tti * rng_random()
             for j in range(k):
                 ts = start + j * serialize_dt
                 if ts < duration:
@@ -271,16 +272,23 @@ class CellularChannelModel:
         frac = value - base
         return base + (1 if self.rng.random() < frac else 0)
 
-    def _ou_path(self, n: int, theta: float, sigma: float) -> np.ndarray:
-        """Ornstein–Uhlenbeck sample path around 0 in the log-rate domain."""
+    def _ou_path(self, n: int, theta: float, sigma: float) -> List[float]:
+        """Ornstein–Uhlenbeck sample path around 0 in the log-rate domain.
+
+        The recurrence runs on Python floats: the same IEEE doubles and
+        the same expression order as on numpy scalars, at a fraction of
+        the boxing cost.
+        """
         dt = TTI_SECONDS
-        x = np.empty(n)
-        x[0] = self.rng.normal(0.0, sigma / math.sqrt(max(2 * theta, 1e-9)))
+        x = self.rng.normal(0.0, sigma / math.sqrt(max(2 * theta, 1e-9)))
         sq = sigma * math.sqrt(dt)
         noise = self.rng.normal(0.0, 1.0, size=n - 1) if n > 1 else np.empty(0)
-        for i in range(1, n):
-            x[i] = x[i - 1] - theta * x[i - 1] * dt + sq * noise[i - 1]
-        return x
+        path = [x]
+        append = path.append
+        for eps in noise.tolist():
+            x = x - theta * x * dt + sq * eps
+            append(x)
+        return path
 
     def _outage_mask(self, n_ttis: int, duration: float) -> np.ndarray:
         mask = np.zeros(n_ttis, dtype=bool)

@@ -105,16 +105,17 @@ def _conservation_leak():
     to catch."""
     from ..netsim.link import Link
 
-    original = Link._deliver
+    original = Link._serve
     state = {"n": 0}
 
-    def _deliver(self, packet):
-        state["n"] += 1
-        if state["n"] % 23 == 0:
-            return
-        original(self, packet)
+    def _serve(self, done):
+        if done is not None:
+            state["n"] += 1
+            if state["n"] % 23 == 0:
+                done = None
+        original(self, done)
 
-    return _patched(Link, "_deliver", _deliver)
+    return _patched(Link, "_serve", _serve)
 
 
 def _stale_interpolation_cache():
@@ -148,8 +149,8 @@ def _stale_interpolation_cache():
 
 def _tracelink_wrap_off_by_one():
     """Perf defect: the wraparound branch advances the replay cycle
-    counter twice — exactly what happens if the inlined fast path *and*
-    the retained ``_next_opportunity_time`` helper each bump ``_cycle``.
+    counter twice — exactly what happens if two copies of the wraparound
+    step each bump ``_cycle``.
     Every loop then skips one full trace period of opportunities, so the
     link goes silent for a period after each seam."""
     from ..netsim.trace_link import TraceLink
@@ -167,7 +168,12 @@ def _tracelink_wrap_off_by_one():
             packet = queue.pop(now)
             budget -= packet.size
             served_any = True
-            self._deliver(packet)
+            if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+                self.stochastic_losses += 1
+                continue
+            self.delivered += 1
+            self.bytes_delivered += packet.size
+            self._out(packet)
         if not served_any:
             self.wasted_opportunities += 1
         i = self._index

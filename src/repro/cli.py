@@ -429,9 +429,11 @@ def _run_bench(args) -> int:
     from .obs import (
         compare,
         format_compare,
+        format_trajectory,
         load_bench,
         regressions,
         run_bench,
+        trajectory,
         write_bench,
     )
 
@@ -444,6 +446,30 @@ def _run_bench(args) -> int:
             return 2
         for name, rows in profiles.items():
             print(format_table(rows, title=f"cProfile: {name} hot path"))
+        return 0
+
+    mode = "full" if args.full else "quick"
+
+    if args.trajectory is not None:
+        # Named files are shown as given; by default every committed
+        # snapshot of the selected mode, oldest first.
+        import pathlib
+        paths = args.trajectory or sorted(
+            (pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+             ).glob("BENCH_*.json"))
+        try:
+            docs = [load_bench(path) for path in paths]
+            if not args.trajectory:
+                docs = sorted((doc for doc in docs if doc["mode"] == mode),
+                              key=lambda doc: doc["written_at"])
+            if not docs:
+                raise ValueError(f"no {mode}-mode BENCH files to show")
+            rows = trajectory(docs)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"bench trajectory ({docs[0]['mode']} mode, median ms)")
+        print(format_trajectory([doc["label"] for doc in docs], rows))
         return 0
 
     if args.compare and args.against:
@@ -460,8 +486,6 @@ def _run_bench(args) -> int:
                   file=sys.stderr)
             return 0 if args.warn_only else 1
         return 0
-
-    mode = "full" if args.full else "quick"
 
     def progress(result: dict) -> None:
         print(f"  {result['name']:<28s} {result['seconds'] * 1e3:9.2f}ms "
@@ -1099,6 +1123,12 @@ def main(argv=None) -> int:
                        help="cap every benchmark's regression band at this "
                             "fraction of the baseline (the CI ratchet uses "
                             "0.10: fail anything >10%% slower)")
+    bench.add_argument("--trajectory", nargs="*", default=None,
+                       metavar="BENCH",
+                       help="print the median of every benchmark across "
+                            "BENCH files, one column each (default: the "
+                            "committed benchmarks/BENCH_*.json of the "
+                            "--quick/--full mode); mixed modes are refused")
     bench.add_argument("--profile", action="append", default=None,
                        metavar="HOTPATH",
                        help="cProfile a named hot path (engine, interp, "

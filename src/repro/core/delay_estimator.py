@@ -74,7 +74,8 @@ class DelayEstimator:
                 self._min_buckets[bucket] = delay
                 self._min_buckets.move_to_end(bucket)
                 self._d_min_dirty = True
-            self._expire_buckets(bucket)
+            if bucket != self._expired_for:
+                self._expire_buckets(bucket)
         if self._lifetime_min is None or delay < self._lifetime_min:
             self._lifetime_min = delay
         if self.srtt is None:
@@ -83,8 +84,8 @@ class DelayEstimator:
             self.srtt += self._srtt_gain * (delay - self.srtt)
 
     def _expire_buckets(self, current_bucket: int) -> None:
-        if current_bucket == self._expired_for:
-            return
+        """Drop the buckets older than the window; called once per new
+        ``current_bucket``."""
         self._expired_for = current_bucket
         horizon = current_bucket - int(self.min_window / self.BUCKET_SECONDS)
         stale = [b for b in self._min_buckets if b < horizon]

@@ -174,21 +174,22 @@ class VerusSender(SenderProtocol):
             return False
         seq = self._next_seq
         self._next_seq += 1
-        now = self.now
+        now = self.sim.now
         window = self.window
-        packet = Packet(flow_id=self.flow_id, seq=seq,
-                        size=self.config.packet_bytes, sent_time=now,
-                        window_at_send=window)
-        self._inflight[seq] = SentRecord(seq=seq, sent_time=now,
-                                         window_at_send=window)
-        self.send(packet)
+        size = self.config.packet_bytes
+        self._inflight[seq] = SentRecord(seq, now, window)
+        self.packets_sent += 1
+        self.bytes_sent += size
+        # Positional, in ``Packet.__init__`` order (see ``make_ack``).
+        self._tx(Packet(self.flow_id, seq, size, now, False, -1, 0.0, window))
         return True
 
     def _retransmit(self, seq: int) -> None:
         record = self._inflight.get(seq)
         if record is None:
             return
-        record.sent_time = self.now
+        now = self.sim.now
+        record.sent_time = now
         record.retransmission = True
         record.window_at_send = self.window
         record.attempts += 1
@@ -198,12 +199,13 @@ class VerusSender(SenderProtocol):
         # too; without this, twice-lost packets would linger in the
         # in-flight set forever and freeze eq. 5's W_i term.
         timeout = self.config.loss_timeout_factor * self.delay_estimator.rtt()
-        record.miss_deadline = self.now + timeout
+        record.miss_deadline = now + timeout
         heapq.heappush(self._miss_heap, (record.miss_deadline, seq))
-        packet = Packet(flow_id=self.flow_id, seq=seq,
-                        size=self.config.packet_bytes, sent_time=self.now,
-                        window_at_send=self.window, retransmission=True)
-        self.send(packet)
+        size = self.config.packet_bytes
+        self.packets_sent += 1
+        self.bytes_sent += size
+        self._tx(Packet(self.flow_id, seq, size, now, False, -1, 0.0,
+                        self.window, True))
 
     def _effective_inflight(self) -> int:
         """Packets believed to be in the network: outstanding records minus
@@ -225,7 +227,9 @@ class VerusSender(SenderProtocol):
 
     def _fill_window(self) -> None:
         """ACK-clocked sending used in slow start and recovery."""
-        while self.running and self._effective_inflight() < int(self.window):
+        inflight, pending = self._inflight, self._pending_rtx
+        # _effective_inflight(), inline.
+        while self.running and len(inflight) - len(pending) < int(self.window):
             if not self._send_next():
                 break
 
@@ -253,10 +257,11 @@ class VerusSender(SenderProtocol):
             return  # duplicate or stale acknowledgement
         self._pending_rtx.discard(seq)
         self._disarmed.discard(seq)
-        now = self.now
+        now = self.sim.now
         self._last_progress = now
         self._rto_backoff = 1.0
-        self._check_transfer_complete()
+        if self.transfer_packets is not None:
+            self._check_transfer_complete()
 
         delay = now - record.sent_time
         if delay > 0:
@@ -267,9 +272,10 @@ class VerusSender(SenderProtocol):
             # small delay that would poison the windowed D_min.  Samples
             # faster than the fastest genuine round trip ever seen are
             # therefore discarded.
-            floor = self.delay_estimator.lifetime_min
-            plausible = (not record.retransmission
-                         or floor is None or delay >= 0.999 * floor)
+            plausible = True
+            if record.retransmission:
+                floor = self.delay_estimator.lifetime_min
+                plausible = floor is None or delay >= 0.999 * floor
             if plausible:
                 self.delay_estimator.add_sample(delay, now=now)
             if not record.retransmission:
@@ -278,7 +284,12 @@ class VerusSender(SenderProtocol):
                 self.profiler.add_sample(record.window_at_send, delay,
                                          now=now)
 
-        self._advance_expected()
+        # _advance_expected(), inline on the per-ACK path.
+        expected = self._next_expected
+        inflight = self._inflight
+        while expected < self._next_seq and expected not in inflight:
+            expected += 1
+        self._next_expected = expected
         self._arm_gap_timers(seq)
 
         if self.mode == SLOW_START:
@@ -310,7 +321,7 @@ class VerusSender(SenderProtocol):
         if acked_seq <= start:
             return
         timeout = self.config.loss_timeout_factor * self.delay_estimator.rtt()
-        deadline = self.now + timeout
+        deadline = self.sim.now + timeout
         upper = min(acked_seq, start + 4096)
         inflight = self._inflight
         heap = self._miss_heap
@@ -666,7 +677,7 @@ class VerusReceiver(ReceiverProtocol):
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
         if self.ack_every == 1:
-            self.send_ack(packet.make_ack(self.now))
+            self._tx(packet.make_ack(self.sim.now))
             return
         self._pending.append(packet.seq)
         self._carrier = packet

@@ -27,7 +27,8 @@ Per-packet cost is constant.  The edges of every window and every clock
 jump are sorted once, at construction; between two adjacent edges the
 set of active windows and the delay cannot change, so :meth:`send`
 caches the segment the clock is in (:meth:`_seek`) and, in a calm
-segment (no window active), costs one comparison.  The window scans
+segment (no window active), costs one comparison and forwards with one
+clock call.  The window scans
 (:func:`_in_windows`, :meth:`_active_rate`) remain the definition: the
 segment state is computed by them, and :meth:`blocked`/:meth:`mangle`
 still use them directly.
@@ -191,8 +192,14 @@ class FaultInjector:
             self._seek(now)
         stats = self.stats
         if self._calm:
+            # The common case forwards in place: one clock call, or
+            # none with no delay.
             stats.forwarded += 1
-            self._forward(packet, self._delay)
+            delay = self._delay
+            if delay <= 0:
+                self.dst(packet)
+            else:
+                self.clock.call_later(delay, self.dst, packet)
             return
         if self._blackout:
             stats.blackout_drops += 1

@@ -170,6 +170,28 @@ class Simulator:
         heapq.heappush(self._heap,
                        (time, next(self._counter), None, callback, args))
 
+    def hop(self, delay: float, dst: Callable[[Any], Any]) -> Callable[[Any], None]:
+        """Bind one fixed-delay hop of a path at wiring time.
+
+        ``hop(item)`` then does what ``call_later(delay, dst, item)``
+        does (the same heap entry, the same tie-break counter) without
+        the argument checks or the ``*args`` packing: one engine call
+        per packet crossing the hop.  With ``delay == 0`` the hop is
+        ``dst`` itself, delivered inline with no event.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        if delay == 0:
+            return dst
+        heap = self._heap
+        counter = self._counter
+        push = heapq.heappush
+
+        def forward(item: Any) -> None:
+            push(heap, (self.now + delay, next(counter), None, dst, (item,)))
+
+        return forward
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

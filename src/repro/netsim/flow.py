@@ -70,6 +70,12 @@ class SenderProtocol:
     Subclasses implement :meth:`start` (begin transmitting) and
     :meth:`on_ack` (acknowledgement arrival).  ``self.send(packet)`` injects
     a data packet into the attached network path.
+
+    Per-packet code reads the clock as ``self.sim.now`` and hands packets
+    to ``self._tx`` itself (counting them as :meth:`send` does), so a
+    packet leaves its sender with no wrapper frame between the protocol
+    and the path's first hop; the ``now`` property and :meth:`send` are
+    for code off that path.  Receivers do the same with their ACKs.
     """
 
     def __init__(self, flow_id: int):
@@ -206,13 +212,13 @@ class ReceiverProtocol:
 
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
-        self.send_ack(packet.make_ack(self.now))
+        self._tx(packet.make_ack(self.sim.now))
 
     def _record(self, packet: Packet) -> None:
         self.packets_received += 1
         self.bytes_received += packet.size
         if self.record:
-            now = self.now
+            now = self.sim.now
             self.deliveries.append((now, packet.seq, now - packet.sent_time,
                                     packet.size))
 
@@ -230,8 +236,9 @@ class Demux:
         self._sinks[flow_id] = sink
 
     def __call__(self, packet: Packet) -> None:
-        sink = self._sinks.get(packet.flow_id)
-        if sink is None:
+        try:
+            sink = self._sinks[packet.flow_id]
+        except KeyError:
             self.unroutable += 1
             return
         sink(packet)

@@ -25,26 +25,69 @@ from .queues import DropTailQueue
 Destination = Callable[[Packet], None]
 
 
-class DelayLine:
-    """Infinite-bandwidth link with fixed propagation delay (ACK paths)."""
+class LinkOutput:
+    """The outgoing hop of a link element: ``dst``, ``delay`` seconds on.
+
+    Assigning either rebinds ``_out`` with :meth:`Simulator.hop`, so a
+    packet is handed on by one call of the bound hop; without a
+    destination ``_out`` raises.
+    """
+
+    @property
+    def dst(self) -> Optional[Destination]:
+        return self._dst
+
+    @dst.setter
+    def dst(self, dst: Optional[Destination]) -> None:
+        self._dst = dst
+        self._bind()
+
+    @property
+    def delay(self) -> float:
+        return self._delay
+
+    @delay.setter
+    def delay(self, delay: float) -> None:
+        self._delay = delay
+        self._bind()
+
+    def _bind(self) -> None:
+        if self._dst is None:
+            self._out = _unattached(f"{type(self).__name__} {self.name!r}")
+        else:
+            self._out = self.sim.hop(self._delay, self._dst)
+
+
+def _unattached(what: str) -> Destination:
+    """Output of an element with no destination: raises when used (and,
+    unlike a bound method, holds no reference back to the element)."""
+    def fail(packet: Packet) -> None:
+        raise RuntimeError(f"{what} has no destination attached")
+    return fail
+
+
+class DelayLine(LinkOutput):
+    """Infinite-bandwidth link with fixed propagation delay (ACK paths).
+
+    ``send`` is the bound hop itself, so a packet crossing the line is
+    one engine call.
+    """
+
+    name = "delayline"
 
     def __init__(self, sim: Simulator, delay: float, dst: Optional[Destination] = None):
         if delay < 0:
             raise ValueError(f"delay must be non-negative (got {delay})")
         self.sim = sim
-        self.delay = delay
+        self._delay = delay
         self.dst = dst
 
-    def send(self, packet: Packet) -> None:
-        if self.dst is None:
-            raise RuntimeError("DelayLine has no destination attached")
-        if self.delay == 0:
-            self.dst(packet)
-        else:
-            self.sim.call_later(self.delay, self.dst, packet)
+    def _bind(self) -> None:
+        super()._bind()
+        self.send = self._out
 
 
-class Link:
+class Link(LinkOutput):
     """Rate-limited store-and-forward link with an attached queue discipline.
 
     Parameters
@@ -72,12 +115,12 @@ class Link:
             raise ValueError(f"loss_rate must be in [0, 1) (got {loss_rate})")
         self.sim = sim
         self.rate_bps = float(rate_bps)
-        self.delay = float(delay)
+        self._delay = float(delay)
         self.queue = queue if queue is not None else DropTailQueue()
+        self.name = name
         self.dst = dst
         self.loss_rate = float(loss_rate)
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.name = name
         self._busy = False
         self.delivered = 0
         self.bytes_delivered = 0
@@ -87,33 +130,26 @@ class Link:
     def send(self, packet: Packet) -> None:
         accepted = self.queue.push(packet, self.sim.now)
         if accepted and not self._busy:
-            self._start_transmission()
+            self._serve(None)
 
-    def _start_transmission(self) -> None:
+    def _serve(self, done: Optional[Packet]) -> None:
+        """The transmitter's one event: hand ``done`` (the packet whose
+        serialisation just ended, None when the link was idle) to the
+        medium, then start serialising the next queued packet."""
+        if done is not None:
+            if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+                self.stochastic_losses += 1
+            else:
+                self.delivered += 1
+                self.bytes_delivered += done.size
+                self._out(done)
         packet = self.queue.pop(self.sim.now)
         if packet is None:
             self._busy = False
             return
         self._busy = True
         tx_time = packet.size * 8.0 / self.rate_bps
-        self.sim.call_later(tx_time, self._finish_transmission, packet)
-
-    def _finish_transmission(self, packet: Packet) -> None:
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stochastic_losses += 1
-        else:
-            self._deliver(packet)
-        self._start_transmission()
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.dst is None:
-            raise RuntimeError(f"link {self.name!r} has no destination attached")
-        self.delivered += 1
-        self.bytes_delivered += packet.size
-        if self.delay == 0:
-            self.dst(packet)
-        else:
-            self.sim.call_later(self.delay, self.dst, packet)
+        self.sim.call_later(tx_time, self._serve, packet)
 
 
 @dataclass

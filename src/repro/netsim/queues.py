@@ -136,11 +136,25 @@ class REDQueue(DropTailQueue):
                    max_p=0.1, rng=rng, **kwargs)
 
     def push(self, packet: Packet, now: float) -> bool:
-        self._update_average(now)
+        # One frame per arrival: the EWMA update and the drop-tail
+        # admission are written out here rather than called.
+        queue = self._queue
+        if queue:
+            self.avg += self.w_q * (self._bytes - self.avg)
+        elif self._idle_since is not None:
+            # Decay the average while the queue sat idle, as if `m` small
+            # packets had drained during the idle period.
+            idle = max(0.0, now - self._idle_since)
+            m = idle / 0.001  # transmission-time proxy of 1 ms
+            self.avg *= (1.0 - self.w_q) ** min(m, 10_000.0)
+        else:
+            self.avg *= (1.0 - self.w_q)
+        stats = self.stats
+        size = packet.size
         if self.avg >= self.max_th:
             self._count = 0
-            self.stats.dropped += 1
-            self.stats.bytes_dropped += packet.size
+            stats.dropped += 1
+            stats.bytes_dropped += size
             self.early_drops += 1
             return False
         if self.avg > self.min_th:
@@ -150,32 +164,36 @@ class REDQueue(DropTailQueue):
             p_a = p_b / denom if denom > 0 else 1.0
             if self.rng.random() < p_a:
                 self._count = 0
-                self.stats.dropped += 1
-                self.stats.bytes_dropped += packet.size
+                stats.dropped += 1
+                stats.bytes_dropped += size
                 self.early_drops += 1
                 return False
         else:
             self._count = -1
-        return super().push(packet, now)
+        if (self.capacity_bytes is not None
+                and self._bytes + size > self.capacity_bytes):
+            stats.dropped += 1
+            stats.bytes_dropped += size
+            return False
+        packet.enqueue_time = now
+        queue.append(packet)
+        self._bytes += size
+        stats.enqueued += 1
+        stats.bytes_enqueued += size
+        return True
 
     def pop(self, now: float) -> Optional[Packet]:
-        packet = super().pop(now)
-        if packet is not None and not self._queue:
+        queue = self._queue
+        if not queue:
+            return None
+        packet = queue.popleft()
+        self._bytes -= packet.size
+        stats = self.stats
+        stats.dequeued += 1
+        stats.bytes_dequeued += packet.size
+        if not queue:
             self._idle_since = now
         return packet
-
-    def _update_average(self, now: float) -> None:
-        if self._queue:
-            self.avg += self.w_q * (self._bytes - self.avg)
-        else:
-            # Decay the average while the queue sat idle, as if `m` small
-            # packets had drained during the idle period.
-            if self._idle_since is not None:
-                idle = max(0.0, now - self._idle_since)
-                m = idle / 0.001  # transmission-time proxy of 1 ms
-                self.avg *= (1.0 - self.w_q) ** min(m, 10_000.0)
-            else:
-                self.avg *= (1.0 - self.w_q)
 
 
 class CoDelQueue(DropTailQueue):

@@ -15,7 +15,6 @@ from typing import Callable, List, Optional
 
 from .engine import Simulator
 from .flow import Demux, ReceiverProtocol, SenderProtocol
-from .link import DelayLine
 from .packet import Packet
 
 
@@ -93,12 +92,11 @@ class Dumbbell:
         if rtt < 0:
             raise ValueError("rtt must be non-negative")
 
-        forward_access = DelayLine(self.sim, rtt / 2.0, dst=self.bottleneck.send)
-        reverse_path = DelayLine(self.sim, rtt / 2.0,
-                                 dst=self._ack_sink(sender))
-
-        sender.attach(self.sim, forward_access.send)
-        receiver.attach(self.sim, reverse_path.send)
+        # The forward access path and the reverse path are fixed delays:
+        # each is one engine hop, bound here (see Simulator.hop).
+        sender.attach(self.sim, self.sim.hop(rtt / 2.0, self.bottleneck.send))
+        receiver.attach(self.sim,
+                        self.sim.hop(rtt / 2.0, self._ack_sink(sender)))
         self.demux.register(sender.flow_id, receiver.on_data)
 
         handle = FlowHandle(sender.flow_id, sender, receiver, rtt, start_at, stop_at)

@@ -16,18 +16,17 @@ experiments are built.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import Simulator
+from .link import Destination, LinkOutput
 from .packet import Packet, MTU_BYTES
 from .queues import DropTailQueue
 
-Destination = Callable[[Packet], None]
 
-
-class TraceLink:
+class TraceLink(LinkOutput):
     """Delivers queued packets at trace-defined opportunity instants.
 
     Parameters
@@ -79,14 +78,14 @@ class TraceLink:
         self.sim = sim
         self.times = times
         self.queue = queue if queue is not None else DropTailQueue()
+        self.name = name
+        self._delay = float(delay)
         self.dst = dst
-        self.delay = float(delay)
         self.bytes_per_opportunity = int(bytes_per_opportunity)
         self.loop = loop
         self.loss_rate = float(loss_rate)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.gap_s = float(gap_s)
-        self.name = name
         self._origin = sim.now
         self._index = 0
         self._cycle = 0
@@ -105,7 +104,8 @@ class TraceLink:
         self.bytes_delivered = 0
         self.wasted_opportunities = 0
         self.stochastic_losses = 0
-        self._schedule_next()
+        # times[0] >= 0, so the first opportunity is never in the past.
+        sim.call_at(self._origin + self._times_list[0], self._opportunity)
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
@@ -123,22 +123,6 @@ class TraceLink:
         """
         return self._period
 
-    def _next_opportunity_time(self) -> Optional[float]:
-        if self._index >= self._n:
-            if not self.loop:
-                return None
-            self._index = 0
-            self._cycle += 1
-            self._cycle_base = self._origin + self._cycle * self._period
-        return self._cycle_base + self._times_list[self._index]
-
-    def _schedule_next(self) -> None:
-        when = self._next_opportunity_time()
-        if when is None:
-            return
-        when = max(when, self.sim.now)
-        self.sim.call_at(when, self._opportunity)
-
     def _opportunity(self) -> None:
         self._index += 1
         budget = self.bytes_per_opportunity
@@ -152,12 +136,19 @@ class TraceLink:
             packet = queue.pop(now)
             budget -= packet.size
             served_any = True
-            self._deliver(packet)
+            # Delivery, inline: the residual-loss draw, then one call of
+            # the bound hop towards ``dst``.
+            if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+                self.stochastic_losses += 1
+                continue
+            self.delivered += 1
+            self.bytes_delivered += packet.size
+            self._out(packet)
         if not served_any:
             self.wasted_opportunities += 1
-        # Inlined _schedule_next: the common case (more opportunities in
-        # the current cycle, strictly-future instant) is one list index
-        # and one add per event.
+        # The next opportunity: in the common case (more opportunities in
+        # the current cycle, strictly-future instant) one list index and
+        # one add.
         i = self._index
         if i >= self._n:
             if not self.loop:
@@ -169,19 +160,6 @@ class TraceLink:
         if when < now:
             when = now
         self.sim.call_at(when, self._opportunity)
-
-    def _deliver(self, packet: Packet) -> None:
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stochastic_losses += 1
-            return
-        if self.dst is None:
-            raise RuntimeError(f"trace link {self.name!r} has no destination")
-        self.delivered += 1
-        self.bytes_delivered += packet.size
-        if self.delay == 0:
-            self.dst(packet)
-        else:
-            self.sim.call_later(self.delay, self.dst, packet)
 
     # ------------------------------------------------------------------
     def average_rate_bps(self) -> float:

@@ -22,9 +22,11 @@ from .bench import (
     BENCHMARKS,
     compare,
     format_compare,
+    format_trajectory,
     load_bench,
     regressions,
     run_bench,
+    trajectory,
     write_bench,
 )
 from .export import (
@@ -73,6 +75,7 @@ __all__ = [
     "export_timeline_csv",
     "export_timeline_jsonl",
     "format_compare",
+    "format_trajectory",
     "load_bench",
     "merge_snapshots",
     "profile_call",
@@ -80,6 +83,7 @@ __all__ = [
     "regressions",
     "run_bench",
     "telemetry",
+    "trajectory",
     "write_bench",
     "write_session",
 ]

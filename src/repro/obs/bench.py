@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -911,6 +912,34 @@ def compare(baseline: dict, current: dict,
 def regressions(rows: Sequence[dict]) -> List[dict]:
     """The rows a perf gate should fail on."""
     return [row for row in rows if row["status"] == "regression"]
+
+
+def trajectory(docs: Sequence[dict]) -> List[dict]:
+    """One row per benchmark: its median sample in each BENCH doc, in
+    the order given (``None`` where a doc lacks it).  Quick and full
+    runs time different workloads, so docs of mixed modes are refused."""
+    modes = sorted({doc.get("mode") for doc in docs})
+    if len(modes) > 1:
+        raise ValueError(f"cannot mix bench modes {modes} in one trajectory")
+    names = sorted({name for doc in docs for name in doc["benchmarks"]})
+    return [{"name": name,
+             "medians": [statistics.median(doc["benchmarks"][name]["samples"])
+                         if name in doc["benchmarks"] else None
+                         for doc in docs]}
+            for name in names]
+
+
+def format_trajectory(labels: Sequence[str], rows: Sequence[dict]) -> str:
+    """Plain-text trajectory table, milliseconds, one column per doc."""
+    width = max([10] + [len(label) + 1 for label in labels])
+    header = f"{'benchmark':<28s}" + "".join(f"{label:>{width}s}"
+                                            for label in labels)
+    lines = [header, "-" * len(header)]
+    for row in rows:
+        cells = ("-" if m is None else f"{m * 1e3:.2f}" for m in row["medians"])
+        lines.append(f"{row['name']:<28s}"
+                     + "".join(f"{cell:>{width}s}" for cell in cells))
+    return "\n".join(lines)
 
 
 def format_compare(rows: Sequence[dict]) -> str:

@@ -136,13 +136,15 @@ class PccSender(SenderProtocol):
         if not self.running:
             return
         mi = self._current_mi
-        packet = Packet(flow_id=self.flow_id, seq=self._next_seq,
-                        size=self.packet_bytes, sent_time=self.now)
+        size = self.packet_bytes
+        packet = Packet(self.flow_id, self._next_seq, size, self.sim.now)
         if mi is not None:
             mi.sent += 1
             self._seq_to_mi[self._next_seq] = mi.mi_id
         self._next_seq += 1
-        self.send(packet)
+        self.packets_sent += 1
+        self.bytes_sent += size
+        self._tx(packet)
         spacing = 1.0 / max(self.rate_pps, self.min_rate_pps)
         self._send_event = self.sim.schedule(spacing, self._emit)
 
@@ -271,7 +273,7 @@ class PccSender(SenderProtocol):
     def on_ack(self, packet: Packet) -> None:
         if not packet.is_ack or not self.running:
             return
-        rtt = self.now - packet.echo_sent_time
+        rtt = self.sim.now - packet.echo_sent_time
         if rtt > 0:
             if self.srtt is None:
                 self.srtt = rtt

@@ -47,15 +47,16 @@ class SproutReceiver(ReceiverProtocol):
     def on_data(self, packet: Packet) -> None:
         self._record(packet)
         self._tick_arrivals += 1
-        delay = self.now - packet.sent_time
+        now = self.sim.now
+        delay = now - packet.sent_time
         if delay > 0:
             if self._delay_floor is None or delay < self._delay_floor:
                 self._delay_floor = delay
             if self._tick_min_delay is None or delay < self._tick_min_delay:
                 self._tick_min_delay = delay
-        ack = packet.make_ack(self.now)
+        ack = packet.make_ack(now)
         ack.payload = {"budget": self._budget}
-        self.send_ack(ack)
+        self._tx(ack)
 
     def _tick_was_censored(self) -> bool:
         """True when the tick showed no queueing: arrivals only bound the
@@ -142,7 +143,7 @@ class SproutSender(SenderProtocol):
             self.budget = float(packet.payload["budget"])
         sent = self._sent_times.pop(packet.ack_seq, None)
         if sent is not None:
-            rtt = self.now - sent
+            rtt = self.sim.now - sent
             if self.srtt is None:
                 self.srtt = rtt
             else:
@@ -205,7 +206,11 @@ class SproutSender(SenderProtocol):
             return
         seq = self._next_seq
         self._next_seq += 1
-        self._sent_times[seq] = self.now
-        self.send(Packet(flow_id=self.flow_id, seq=seq,
-                         size=self.packet_bytes, sent_time=self.now,
-                         window_at_send=self.budget))
+        now = self.sim.now
+        self._sent_times[seq] = now
+        size = self.packet_bytes
+        self.packets_sent += 1
+        self.bytes_sent += size
+        # Positional, in ``Packet.__init__`` order (see ``make_ack``).
+        self._tx(Packet(self.flow_id, seq, size, now, False, -1, 0.0,
+                        self.budget))

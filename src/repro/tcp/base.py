@@ -52,7 +52,7 @@ class TcpReceiver(ReceiverProtocol):
                 self.next_expected += 1
         elif packet.seq > self.next_expected:
             self._out_of_order.add(packet.seq)
-        self.send_ack(packet.make_ack(self.now, ack_seq=self.next_expected))
+        self._tx(packet.make_ack(self.sim.now, self.next_expected))
 
 
 class TcpSender(SenderProtocol):
@@ -80,6 +80,10 @@ class TcpSender(SenderProtocol):
         self.transfer_packets: Optional[int] = None
         if transfer_bytes is not None:
             self.transfer_packets = max(1, -(-transfer_bytes // mss))
+        #: One past the last sequence of the transfer (unbounded for a
+        #: full-buffer source).
+        self._data_end = (float("inf") if self.transfer_packets is None
+                          else self.transfer_packets)
         self.completion_time: Optional[float] = None
         self.cwnd: float = INITIAL_WINDOW
         self.ssthresh: float = initial_ssthresh
@@ -158,35 +162,28 @@ class TcpSender(SenderProtocol):
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh and not self._in_fast_recovery
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
-    def _data_limit(self) -> float:
-        if self.transfer_packets is None:
-            return float("inf")
-        return self.transfer_packets
-
     def _fill_window(self) -> None:
-        limit = min(self.snd_una + int(self.cwnd), self._data_limit())
-        while self.running and self.snd_nxt < limit:
-            self._transmit(self.snd_nxt, retransmission=False)
+        end = self._data_end
+        while (self.running and self.snd_nxt < self.snd_una + int(self.cwnd)
+               and self.snd_nxt < end):
+            self._transmit(self.snd_nxt, False)
             self.snd_nxt += 1
-            limit = min(self.snd_una + int(self.cwnd), self._data_limit())
 
     def _transmit(self, seq: int, retransmission: bool) -> None:
+        now = self.sim.now
         if retransmission:
             self.retransmissions += 1
             self._retransmitted.add(seq)
         else:
-            self._sent_times[seq] = self.now
-        packet = Packet(flow_id=self.flow_id, seq=seq, size=self.mss,
-                        sent_time=self.now, window_at_send=self.cwnd,
-                        retransmission=retransmission)
-        self.send(packet)
+            self._sent_times[seq] = now
+        self.packets_sent += 1
+        self.bytes_sent += self.mss
+        # Positional, in ``Packet.__init__`` order (see ``make_ack``).
+        self._tx(Packet(self.flow_id, seq, self.mss, now, False, -1, 0.0,
+                        self.cwnd, retransmission))
 
     # ------------------------------------------------------------------
     # Acknowledgement processing
@@ -201,18 +198,19 @@ class TcpSender(SenderProtocol):
             self._on_sack(packet.seq)
         if ack > self.snd_una:
             self._handle_new_ack(ack, packet)
-        elif ack == self.snd_una and self.flight() > 0:
+        elif ack == self.snd_una and self.snd_nxt > ack:
             self._handle_dupack()
-        if self._in_fast_recovery and self.sack:
+        if not self._in_fast_recovery:
+            self._fill_window()
+        elif self.sack:
             self._sack_retransmit()
-        if not self._in_fast_recovery or self.sack:
             self._fill_window_recovery_aware()
         # An ACK that emptied the flight disarms the timer above, but the
         # window refill just put new segments in the air.  Without a
         # timer those segments have no loss backstop: if the whole burst
         # dies (a blackout, a corruption storm) no ACK ever returns and
         # the sender deadlocks silently.
-        if self._rto_deadline is None and self.flight() > 0:
+        if self._rto_deadline is None and self.snd_nxt > self.snd_una:
             self._arm_rto()
         if self.observers:
             self.notify("on_window", time=self.now, window=self.cwnd,
@@ -224,7 +222,7 @@ class TcpSender(SenderProtocol):
         trigger = ack - 1
         sent = self._sent_times.get(trigger)
         if sent is not None and trigger not in self._retransmitted:
-            self._rtt_sample(self.now - sent)
+            self._rtt_sample(self.sim.now - sent)
         # Every acknowledged sequence is >= snd_una, so it lies in the
         # lost-hole range exactly when it is below hi - threshold + 1.
         lost_below = self._sack_hi - DUPACK_THRESHOLD + 1
@@ -246,7 +244,7 @@ class TcpSender(SenderProtocol):
         if (self.transfer_packets is not None
                 and self.completion_time is None
                 and self.snd_una >= self.transfer_packets):
-            self.completion_time = self.now
+            self.completion_time = self.sim.now
             self.stop()
             return
 
@@ -265,7 +263,7 @@ class TcpSender(SenderProtocol):
             return
 
         self._dupacks = 0
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # slow start (recovery returned above)
             self.slow_start_increment(newly_acked)
         else:
             self.ca_increment(newly_acked)
@@ -366,13 +364,10 @@ class TcpSender(SenderProtocol):
         self._hole_cursor = seq
 
     def _fill_window_recovery_aware(self) -> None:
-        if not self._in_fast_recovery:
-            self._fill_window()
-            return
-        # During SACK recovery, new data is pipe-limited.
+        """During SACK recovery, new data is pipe-limited."""
         while (self.running and self._pipe() < int(self.cwnd)
-               and self.snd_nxt < self._data_limit()):
-            self._transmit(self.snd_nxt, retransmission=False)
+               and self.snd_nxt < self._data_end):
+            self._transmit(self.snd_nxt, False)
             self.snd_nxt += 1
 
     # ------------------------------------------------------------------

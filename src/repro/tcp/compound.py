@@ -66,13 +66,12 @@ class CompoundSender(TcpSender):
 
     def _fill_window(self) -> None:
         # Sending is governed by the compound window, not cwnd alone.
-        limit = min(self.snd_una + int(self._total_window()),
-                    self._data_limit())
+        limit = min(self.snd_una + int(self._total_window()), self._data_end)
         while self.running and self.snd_nxt < limit:
             self._transmit(self.snd_nxt, retransmission=False)
             self.snd_nxt += 1
             limit = min(self.snd_una + int(self._total_window()),
-                        self._data_limit())
+                        self._data_end)
 
     # ------------------------------------------------------------------
     def ca_increment(self, newly_acked: int) -> None:

@@ -47,7 +47,8 @@ class CubicSender(TcpSender):
         queue overflows, as the Linux Cubic the paper runs does."""
         if self._min_rtt is None or rtt < self._min_rtt:
             self._min_rtt = rtt
-        if not self.hystart or not self.in_slow_start:
+        if (not self.hystart or self.cwnd >= self.ssthresh
+                or self._in_fast_recovery):  # not in slow start
             return
         threshold = self._min_rtt + max(0.004, self._min_rtt / 8.0)
         if rtt > threshold and self.cwnd >= 16:
@@ -69,7 +70,7 @@ class CubicSender(TcpSender):
     def ca_increment(self, newly_acked: int) -> None:
         if self._epoch_start is None:
             self._begin_epoch()
-        t = self.now - self._epoch_start
+        t = self.sim.now - self._epoch_start
         rtt = self.srtt if self.srtt is not None else 0.1
         target = self.c * (t + rtt - self._k) ** 3 + self.w_max
         # TCP-friendly region: track the window Reno would have.
@@ -86,7 +87,7 @@ class CubicSender(TcpSender):
             self.cwnd += 0.01 * newly_acked / max(self.cwnd, 1.0)
 
     def _begin_epoch(self) -> None:
-        self._epoch_start = self.now
+        self._epoch_start = self.sim.now
         self._ack_count = 0
         if self.w_max > self.cwnd:
             self._k = ((self.w_max - self.cwnd) / self.c) ** (1.0 / 3.0)

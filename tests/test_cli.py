@@ -115,3 +115,53 @@ class TestSeedFlag:
         assert "verus" in first
         assert main(["quickstart", "--duration", "10", "--seed", "7"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestBenchTrajectory:
+    @staticmethod
+    def _write(path, label, mode, benches):
+        import json
+        doc = {"schema": "repro.bench/1", "label": label, "mode": mode,
+               "written_at": "2026-01-01T00:00:00Z",
+               "benchmarks": {
+                   name: {"samples": samples, "workload_hash": digest}
+                   for name, (samples, digest) in benches.items()}}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_one_column_per_file_of_medians(self, tmp_path, capsys):
+        old = self._write(tmp_path / "a.json", "older", "quick",
+                          {"engine": ([0.003, 0.001, 0.002], "h1"),
+                           "queue": ([0.010], "q1")})
+        new = self._write(tmp_path / "b.json", "newer", "quick",
+                          {"engine": ([0.0015], "h1"),
+                           "queue": ([0.020], "q2"),
+                           "fresh": ([0.005], "f1")})
+        assert main(["bench", "--trajectory", old, new]) == 0
+        out = capsys.readouterr().out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("benchmark"))
+        assert header.split()[1:] == ["older", "newer"]
+        rows = {line.split()[0]: line.split()[1:]
+                for line in out.splitlines()
+                if line.split() and line.split()[0] in
+                ("engine", "queue", "fresh")}
+        assert rows["engine"] == ["2.00", "1.50"]      # medians, in ms
+        assert rows["queue"] == ["10.00", "20.00"]
+        assert rows["fresh"] == ["-", "5.00"]
+
+    def test_refuses_to_mix_quick_and_full(self, tmp_path, capsys):
+        quick = self._write(tmp_path / "q.json", "q", "quick",
+                            {"engine": ([0.001], "h")})
+        full = self._write(tmp_path / "f.json", "f", "full",
+                           {"engine": ([0.004], "h")})
+        assert main(["bench", "--trajectory", quick, full]) == 2
+        assert "cannot mix" in capsys.readouterr().err
+
+    def test_default_reads_the_committed_quick_snapshots(self, capsys):
+        assert main(["bench", "--trajectory"]) == 0
+        out = capsys.readouterr().out
+        assert "quick mode" in out
+        header = next(line for line in out.splitlines()
+                      if line.startswith("benchmark"))
+        assert {"baseline", "pr15"} <= set(header.split()[1:])

@@ -12,6 +12,12 @@ contract two ways:
    compared **byte for byte** on every run.  Any change to the scheduler,
    path wiring, trace-link replay schedule, interpolation caches or
    ACK hot path that perturbs behaviour shows up as a snapshot diff.
+   A second matrix pins the fixed-rate ``Link`` path the same way
+   ({verus, cubic, sprout} at 20 and 100 Mbps with 0.5% random loss,
+   plus one schedule-driven ``VariableLink`` cell); its snapshots also
+   carry the engine's event count and each sender's transmissions, so
+   a change that adds or drops an event shows up even when the
+   statistics do not move.
 
 2. The ``repro check`` oracle — the audited scenarios' committed golden
    traces (window/set-point/delay timelines at zero tolerance-violation
@@ -41,7 +47,13 @@ from repro.check import (
     load_golden,
     run_audited,
 )
-from repro.experiments import FlowSpec, run_trace_contention
+from repro.experiments import (
+    FlowSpec,
+    run_fixed_dumbbell,
+    run_trace_contention,
+    run_variable_dumbbell,
+)
+from repro.experiments.micro import rapid_change_schedule
 from repro.faults import FaultEvent, FaultSchedule
 from repro.faults.sim import run_faulted_contention
 
@@ -67,6 +79,17 @@ MATRIX = [(protocol, trace, faulted)
           for faulted in (False, True)]
 
 
+#: The fixed-rate half: ``Link`` bottleneck (DropTail), 50 ms RTT, 0.5%
+#: random loss; the Fig 11a high-rate regime and the §7 testbed.
+FIXED_PROTOCOLS = ("verus", "cubic", "sprout")
+FIXED_RATES_BPS = (20e6, 100e6)
+FIXED_DURATION = 3.0
+FIXED_WARMUP = 0.5
+FIXED_MATRIX = [(protocol, rate)
+                for protocol in FIXED_PROTOCOLS
+                for rate in FIXED_RATES_BPS]
+
+
 def _case_id(protocol: str, trace: str, faulted: bool) -> str:
     return f"{protocol}-{trace}-{'faults' if faulted else 'clean'}"
 
@@ -89,6 +112,38 @@ def _run_case(protocol: str, trace_name: str, faulted: bool) -> dict:
     return result.summary()
 
 
+def _with_counters(result) -> dict:
+    """``summary()`` plus the exact work counters of the run."""
+    return {
+        "summary": result.summary(),
+        "events": result.senders[0].sim.events_processed,
+        "packets_sent": [s.packets_sent for s in result.senders],
+        "retransmissions": [getattr(s, "retransmissions", None)
+                            for s in result.senders],
+    }
+
+
+def _run_fixed_case(protocol: str, rate_bps: float) -> dict:
+    seed = (300 + 7 * FIXED_PROTOCOLS.index(protocol)
+            + FIXED_RATES_BPS.index(rate_bps))
+    options = {"r": 2.0} if protocol == "verus" else {}
+    result = run_fixed_dumbbell(rate_bps, [FlowSpec(protocol, options=options)],
+                                duration=FIXED_DURATION, rtt=0.05,
+                                loss_rate=0.005, warmup=FIXED_WARMUP,
+                                seed=seed)
+    return _with_counters(result)
+
+
+def _run_variable_case() -> dict:
+    """§7 rapidly changing network: capacity, RTT and loss redrawn every
+    second; Verus against Cubic on one ``VariableLink``."""
+    schedule = rapid_change_schedule(6.0, 2e6, 20e6, seed=11, period=1.0)
+    specs = [FlowSpec("verus", options={"r": 2.0}), FlowSpec("cubic")]
+    result = run_variable_dumbbell(schedule, specs, duration=6.0,
+                                   warmup=1.0, seed=11)
+    return _with_counters(result)
+
+
 def _canonical(payload: dict) -> bytes:
     """Canonical JSON: sorted keys, no whitespace, trailing newline.
     Byte-stable because summary() emits only plain floats/ints/strings
@@ -97,12 +152,8 @@ def _canonical(payload: dict) -> bytes:
                        separators=(",", ":")) + "\n").encode("ascii")
 
 
-@pytest.mark.parametrize(
-    "protocol,trace,faulted", MATRIX,
-    ids=[_case_id(*case) for case in MATRIX])
-def test_summary_matches_committed_snapshot(protocol, trace, faulted):
-    payload = _canonical(_run_case(protocol, trace, faulted))
-    snapshot = GOLDEN_DIR / f"{_case_id(protocol, trace, faulted)}.json"
+def _check_snapshot(payload: bytes, name: str) -> None:
+    snapshot = GOLDEN_DIR / f"{name}.json"
     if BLESS:
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         snapshot.write_bytes(payload)
@@ -115,6 +166,26 @@ def test_summary_matches_committed_snapshot(protocol, trace, faulted):
         "— a supposedly behaviour-preserving change altered results. "
         "Diff the JSON, find the divergence, and only re-bless if the "
         "change is intentional.")
+
+
+@pytest.mark.parametrize(
+    "protocol,trace,faulted", MATRIX,
+    ids=[_case_id(*case) for case in MATRIX])
+def test_summary_matches_committed_snapshot(protocol, trace, faulted):
+    _check_snapshot(_canonical(_run_case(protocol, trace, faulted)),
+                    _case_id(protocol, trace, faulted))
+
+
+@pytest.mark.parametrize(
+    "protocol,rate_bps", FIXED_MATRIX,
+    ids=[f"{p}-{int(r / 1e6)}mbps" for p, r in FIXED_MATRIX])
+def test_fixed_rate_matches_committed_snapshot(protocol, rate_bps):
+    _check_snapshot(_canonical(_run_fixed_case(protocol, rate_bps)),
+                    f"fixed-{protocol}-{int(rate_bps / 1e6)}mbps")
+
+
+def test_variable_rate_matches_committed_snapshot():
+    _check_snapshot(_canonical(_run_variable_case()), "variable-verus-cubic")
 
 
 def test_matrix_is_deterministic_within_process():
